@@ -240,6 +240,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             "repeats": args.repeats,
             "seed": args.seed,
             "python_build_ceiling": PYTHON_BUILD_CEILING,
+            "cpu_count": os.cpu_count(),
         },
         "scales": scales,
     }

@@ -693,11 +693,10 @@ def build_parser() -> argparse.ArgumentParser:
     build.add_argument("--merge", action="store_true",
                        help="apply adjacent-interval merging")
     build.add_argument("--propagation",
-                       choices=("python", "vectorized", "parallel"),
+                       choices=("python", "vectorized"),
                        default="python",
                        help="interval-propagation kernel: the sequential "
-                            "reference pass, the numpy level kernel, or "
-                            "the multiprocessing level-parallel mode "
+                            "reference pass or the numpy level kernel "
                             "(identical output; file output only)")
     build.add_argument(
         "--durable", metavar="PATH", default=None,

@@ -164,10 +164,9 @@ class IntervalTCIndex:
         (see :mod:`repro.core.merge_ordering` — the paper leaves the
         optimal ordering open as "a combinatorial problem").
         ``propagation`` selects the interval-propagation kernel:
-        ``"python"`` (the sequential reference pass), ``"vectorized"``
+        ``"python"`` (the sequential reference pass) or ``"vectorized"``
         (the numpy level kernel — same labeling, much faster on large
-        graphs), or ``"parallel"`` (adds a multiprocessing fan-out for
-        wide levels); see :mod:`repro.core.propagation`.  Raises
+        graphs); see :mod:`repro.core.propagation`.  Raises
         :class:`repro.errors.CycleError` on cyclic input — wrap cyclic
         graphs with :class:`repro.core.condensation.CondensedIndex`
         instead.

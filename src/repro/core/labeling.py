@@ -131,10 +131,9 @@ def label_graph(graph: DiGraph, cover: TreeCover, gap: int = 1, *,
 
     Convenience wrapper: postorder numbering, interval propagation, and
     (optionally) the adjacent/overlapping interval merging post-pass.
-    ``propagation`` picks the propagation kernel (``"python"``,
-    ``"vectorized"``, or ``"parallel"`` — see
-    :mod:`repro.core.propagation`); every mode yields the identical
-    labeling.
+    ``propagation`` picks the propagation kernel (``"python"`` or
+    ``"vectorized"`` — see :mod:`repro.core.propagation`); both modes
+    yield the identical labeling.
     """
     labeling = assign_postorder(cover, gap)
     if propagation == "python":

@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+import random
+from bisect import bisect_left, bisect_right
+
 import pytest
 
+from repro.core import frozen as frozen_module
 from repro.core import queries
 from repro.core.batch import apply_diff
 from repro.core.frozen import BACKENDS, FrozenTCIndex, default_backend
 from repro.core.index import IntervalTCIndex
+from repro.core.rtcf import rtcf_bytes
+from repro.core.updates import remove_node
 from repro.core.serialize import (
     frozen_to_dict,
     index_to_dict,
@@ -275,6 +281,126 @@ def test_inconsistent_buffers_rejected():
     with pytest.raises(ReproError):
         FrozenTCIndex.from_buffers(nodes=["a"], numbers=[1],
                                    offsets=[0, 2], lows=[0], highs=[0, 0, 0])
+
+
+@pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
+def test_numpy_buffers_accepted(backend):
+    """Buffers handed over as numpy arrays (as a loader might) must not
+    trip a truth-value test on the offsets array."""
+    import numpy
+    frozen = FrozenTCIndex.from_buffers(
+        nodes=["a", "b", "c"], numbers=[1, 2, 3],
+        offsets=numpy.array([0, 1, 2, 3]), lows=numpy.array([0, 0, 0]),
+        highs=numpy.array([0, 1, 2]), backend=backend)
+    assert frozen.successors("c") == {"a", "b", "c"}
+    assert frozen.predecessors("a") == {"a", "b", "c"}
+    buffers = frozen.to_buffers()
+    assert buffers["highs"] == [0, 1, 2]
+    assert all(type(value) is int
+               for key in ("offsets", "lows", "highs")
+               for value in buffers[key])
+    with pytest.raises(ReproError):
+        FrozenTCIndex.from_buffers(
+            nodes=["a"], numbers=[1], offsets=numpy.array([0, 2]),
+            lows=numpy.array([0]), highs=numpy.array([0]), backend=backend)
+
+
+# ----------------------------------------------------------------------
+# the vectorised freeze kernel against the per-interval reference loop
+# ----------------------------------------------------------------------
+def reference_view(index: IntervalTCIndex) -> FrozenTCIndex:
+    """What the per-interval reference loop compiles ``index`` to."""
+    used = index.used_numbers
+    nodes = [index.node_of_number[number] for number in used]
+    offsets, lows, highs = frozen_module._rank_runs_python(
+        used, [index.intervals[node] for node in nodes])
+    return FrozenTCIndex.from_buffers(
+        nodes=nodes, numbers=list(used), offsets=offsets, lows=lows,
+        highs=highs, epoch=index.epoch)
+
+
+def gap_only_intervals(index: IntervalTCIndex) -> int:
+    """Stored intervals that contain no live postorder number."""
+    used = index.used_numbers
+    return sum(1 for interval_set in index.intervals.values()
+               for lo, hi in interval_set
+               if bisect_left(used, lo) > bisect_right(used, hi) - 1)
+
+
+def assert_kernel_matches_reference(index: IntervalTCIndex) -> None:
+    kernel = index.freeze(force=True)
+    reference = reference_view(index)
+    assert kernel.to_buffers() == reference.to_buffers()
+    assert rtcf_bytes(kernel) == rtcf_bytes(reference)
+    for node in list(index.nodes())[::3]:
+        assert kernel.successors(node) == index.successors(node)
+
+
+@pytest.mark.skipif(not HAVE_NUMPY, reason="the kernel needs numpy")
+class TestFreezeKernel:
+    def test_integer_numbering_takes_the_kernel(self, paper_index,
+                                                monkeypatch):
+        def refuse(*args):
+            raise AssertionError("reference loop used on integer numbering")
+        expected = reference_view(paper_index).to_buffers()
+        monkeypatch.setattr(frozen_module, "_rank_runs_python", refuse)
+        assert paper_index.freeze(force=True).to_buffers() == expected
+
+    @pytest.mark.parametrize("seed", [3, 17, 40])
+    @pytest.mark.parametrize("gap", [
+        pytest.param(4, id="dense-numbers"),
+        # numbers far sparser than the intervals: binary-search ranks
+        pytest.param(2**40, id="sparse-numbers")])
+    def test_after_arc_churn(self, seed, gap):
+        rng = random.Random(seed)
+        graph = random_dag(90, 2.0, rng)
+        index = IntervalTCIndex.build(graph, gap=gap, merge=seed % 2 == 1)
+        nodes = sorted(graph.nodes())
+        for _ in range(60):
+            source, destination = rng.sample(nodes, 2)
+            if index.graph.has_arc(source, destination):
+                index.remove_arc(source, destination)
+            elif not index.reachable(destination, source):
+                index.add_arc(source, destination)
+        assert_kernel_matches_reference(index)
+
+    def test_after_renumbering_with_gap_only_intervals(self):
+        rng = random.Random(5)
+        graph = random_dag(60, 2.0, rng)
+        index = IntervalTCIndex.build(graph, gap=2)
+        nodes = sorted(graph.nodes())
+        for step in range(40):  # exhaust the gaps: forces renumbering
+            index.add_node(("new", step), parents=rng.sample(nodes, 2))
+        assert index.renumber_count > 0
+        # Batch removals defer the interval refresh; until it runs,
+        # ancestors keep intervals over the removed leaves' numbers.
+        for step in range(0, 40, 3):
+            remove_node(index, ("new", step), recompute=False)
+        assert gap_only_intervals(index) > 0
+        assert_kernel_matches_reference(index)
+
+    def test_empty_index(self):
+        assert_kernel_matches_reference(IntervalTCIndex.build(DiGraph()))
+
+    def test_fractional_numbering_takes_the_reference(self, monkeypatch):
+        index = IntervalTCIndex.build(
+            DiGraph([("a", "b"), ("b", "c"), ("a", "c")]),
+            numbering="fractional", gap=4)
+        for step in range(6):  # force Fractions into the numbering
+            index.add_node(("f", step), parents=["b"])
+        expected = reference_view(index).to_buffers()
+
+        def refuse(*args):
+            raise AssertionError("kernel used on fractional numbers")
+        monkeypatch.setattr(frozen_module, "_rank_runs_numpy", refuse)
+        assert index.freeze(force=True).to_buffers() == expected
+
+    def test_numbers_beyond_int64_take_the_reference(self):
+        index = IntervalTCIndex.build(DiGraph([("a", "b"), ("b", "c")]),
+                                      gap=2**62)
+        assert index.used_numbers[-1] >= 2**63
+        assert (index.freeze(force=True).to_buffers()
+                == reference_view(index).to_buffers())
 
 
 # ----------------------------------------------------------------------

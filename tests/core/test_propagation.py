@@ -3,9 +3,8 @@ for bit: same graph, same gap => identical interval sets on every node.
 
 The python implementation (:func:`repro.core.labeling.propagate_intervals`)
 is the reference; the vectorized kernel replays the same reverse
-topological order as per-level segmented sweeps, and the parallel mode
-additionally splits each sweep across worker processes.  Any divergence
-is an indexing bug, so these tests compare the *full* label tables, not
+topological order as per-level segmented sweeps.  Any divergence is an
+indexing bug, so these tests compare the *full* label tables, not
 just query answers.
 """
 
@@ -95,6 +94,13 @@ class TestDispatch:
         with pytest.raises(ReproError, match="propagation"):
             IntervalTCIndex.build(graph, propagation="simd")
 
+    def test_parallel_mode_is_gone(self):
+        """The process-pool mode never beat the vectorized kernel on a
+        measured box and was removed; asking for it is an unknown mode."""
+        graph = DiGraph(arcs=[("a", "b")])
+        with pytest.raises(ReproError, match="unknown propagation mode"):
+            IntervalTCIndex.build(graph, propagation="parallel")
+
     def test_python_mode_is_the_default(self):
         graph = DiGraph(arcs=[("a", "b")])
         built = IntervalTCIndex.build(graph)
@@ -125,21 +131,3 @@ class TestDispatch:
             run_propagation(graph, cover, labeling, mode)
             assert labeling.intervals["a"].covers(
                 labeling.postorder["c"])
-
-
-@pytest.mark.skipif(not HAVE_NUMPY, reason="parallel sweep needs numpy")
-class TestParallelSweep:
-    def test_forced_parallel_matches_sequential(self):
-        """Drop the size floor so the pool really runs, then compare
-        against the plain vectorized build."""
-        import repro.core.propagation as propagation_module
-        graph = random_dag(200, 3.0, random.Random(31))
-        reference = IntervalTCIndex.build(graph, gap=4)
-        original = propagation_module.PARALLEL_MIN_ITEMS
-        propagation_module.PARALLEL_MIN_ITEMS = 0
-        try:
-            candidate = IntervalTCIndex.build(graph, gap=4,
-                                              propagation="parallel")
-        finally:
-            propagation_module.PARALLEL_MIN_ITEMS = original
-        assert interval_table(candidate) == interval_table(reference)

@@ -13,10 +13,13 @@ import random
 
 import pytest
 
-from repro.core.frozen import FrozenTCIndex, default_backend
+from repro.core.frozen import (FrozenTCIndex, _rank_runs_python,
+                               default_backend)
 from repro.core.index import IntervalTCIndex
-from repro.core.rtcf import (MAGIC, MappedFrozenTCIndex, load_rtcf,
-                             rtcf_bytes, save_rtcf, sniff_rtcf, verify_rtcf)
+from repro.core.rtcf import (DTYPE_INT32, DTYPE_INT64, MAGIC,
+                             MappedFrozenTCIndex, _interval_dtype_code,
+                             load_rtcf, rtcf_bytes, save_rtcf, sniff_rtcf,
+                             verify_rtcf)
 from repro.core.serialize import save_frozen_index
 from repro.errors import (CorruptFileError, IndexStateError,
                           NodeNotFoundError, ReproError)
@@ -156,6 +159,84 @@ class TestMappedView:
         del mapped  # the arrays hold buffer references; drop them first
         second = load_rtcf(path)
         second.close()
+
+
+def reference_bytes(index: IntervalTCIndex) -> bytes:
+    """RTCF bytes by the reference route: the per-interval freeze loop,
+    an ``array``-backed view and the stdlib section derivation."""
+    used = index.used_numbers
+    nodes = [index.node_of_number[number] for number in used]
+    offsets, lows, highs = _rank_runs_python(
+        used, [index.intervals[node] for node in nodes])
+    return rtcf_bytes(FrozenTCIndex.from_buffers(
+        nodes=nodes, numbers=list(used), offsets=offsets, lows=lows,
+        highs=highs, backend="array", epoch=index.epoch))
+
+
+def churned(graph: DiGraph, seed: int) -> IntervalTCIndex:
+    rng = random.Random(seed)
+    index = IntervalTCIndex.build(graph, gap=4)
+    nodes = sorted(graph.nodes(), key=repr)
+    for _ in range(40):
+        source, destination = rng.sample(nodes, 2)
+        if index.graph.has_arc(source, destination):
+            index.remove_arc(source, destination)
+        elif not index.reachable(destination, source):
+            index.add_arc(source, destination)
+    return index
+
+
+@pytest.mark.skipif(not HAVE_NUMPY, reason="engine-buffer writer needs numpy")
+class TestEngineBufferWriter:
+    """The numpy writer emits the engine's own buffers; every file must
+    equal the reference route's, and a mapped view must re-save to the
+    file it was opened from."""
+
+    @pytest.mark.parametrize("labels", ["strings", "dense-ints",
+                                        "sparse-ints"])
+    def test_mapped_resave_is_byte_identical(self, tmp_path, labels):
+        graph = int_graph(90, seed=4)
+        if labels == "strings":
+            graph = DiGraph(arcs=[(f"n{u}", f"n{v}")
+                                  for u, v in graph.arcs()])
+        elif labels == "sparse-ints":  # too sparse for a lookup table
+            graph = DiGraph(arcs=[(u * 10**6, v * 10**6)
+                                  for u, v in graph.arcs()])
+        index = churned(graph, seed=8)
+        blob = rtcf_bytes(index.freeze())
+        assert blob == reference_bytes(index)
+        path = str(tmp_path / "closure.rtcf")
+        save_rtcf(index.freeze(), path)
+        mapped = load_rtcf(path)
+        assert isinstance(mapped, MappedFrozenTCIndex)
+        assert (mapped._lut is not None) == (labels == "dense-ints")
+        assert rtcf_bytes(mapped) == blob
+        assert rtcf_bytes(load_rtcf(path, backend="array")) == blob
+
+    @pytest.mark.parametrize("num_nodes, code", [
+        pytest.param(46_340, DTYPE_INT32, id="int32-side"),
+        pytest.param(46_341, DTYPE_INT64, id="int64-side")])
+    def test_rank_dtype_switch(self, tmp_path, num_nodes, code):
+        """Rank keys ``row * n + lo`` fit int32 up to 46,340 nodes; both
+        sides of the switch write the reference bytes."""
+        import numpy
+        arcs = [((child - 1) // 2, child) for child in range(1, num_nodes)]
+        arcs += [(node, node + 3) for node in range(0, num_nodes - 3, 997)]
+        index = IntervalTCIndex.build(DiGraph(arcs=arcs),
+                                      policy="first_parent",
+                                      propagation="vectorized")
+        frozen = index.freeze()
+        assert _interval_dtype_code(num_nodes) == code
+        assert frozen._dtype == (numpy.int32 if code == DTYPE_INT32
+                                 else numpy.int64)
+        blob = rtcf_bytes(frozen)
+        assert blob == reference_bytes(index)
+        path = tmp_path / "closure.rtcf"
+        path.write_bytes(blob)
+        width = "int32" if code == DTYPE_INT32 else "int64"
+        sections = verify_rtcf(str(path))["sections"]
+        assert {sections[name]["dtype"] for name in
+                ("lows", "highs", "lo_keyed", "rev_owner")} == {width}
 
 
 class TestStalenessMetadata:

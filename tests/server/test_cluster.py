@@ -248,6 +248,13 @@ def test_concurrent_writers_through_different_connections_converge():
                 asyncio.gather(*(fan(w) for w in range(3))), 120.0)
 
         acks = thread.run_coro(race())
+        # Read-your-writes holds per connection; this read goes through
+        # another one, whose worker re-attaches to the acked generation
+        # within a poll interval.  Wait (bounded) for it to converge.
+        deadline = time.monotonic() + 10.0
+        while (thread.call("stats")["epoch"] < max(acks)
+               and time.monotonic() < deadline):
+            time.sleep(0.01)
 
         expected = {"a", "b", "c", "d"} | {
             f"f{w}.{i}" for w in range(3) for i in range(4)}
