@@ -17,6 +17,13 @@ Run as a script to (re)generate ``BENCH_build.json``::
     $ python benchmarks/bench_build.py            # 100k + 1M nodes
     $ python benchmarks/bench_build.py --smoke    # CI-sized sanity run
 
+The direct frozen build — ``open_index(graph, engine="frozen",
+propagation="vectorized")``, which propagates in rank space and never
+builds the mutable index — is timed end to end (tree cover included) as
+``direct_build_seconds``, beside ``vectorized_total_seconds`` for the
+staged build plus freeze, and its RTCF bytes must equal the staged
+route's.
+
 The propagation pass is timed in isolation (tree cover and postorder
 numbering are shared, identical work for both modes), which is the
 comparison the vectorized kernel actually changes; whole-build wall
@@ -33,6 +40,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import hashlib
 import json
 import os
 import sys
@@ -42,6 +50,7 @@ from pathlib import Path
 from random import Random
 from typing import Callable, List, Optional
 
+from repro import open_index
 from repro.core.index import IntervalTCIndex
 from repro.core.labeling import assign_postorder
 from repro.core.propagation import run_propagation
@@ -108,6 +117,15 @@ def run_scale(*, nodes: int, degree: float, seed: int, pairs: int,
             "skipped": f"sequential propagation above {PYTHON_BUILD_CEILING} "
                        f"nodes takes many minutes; vectorized-only here"}
     gc.collect()
+    # The direct route (graph -> frozen engine in rank space, no mutable
+    # index), timed end to end through the public call, tree cover
+    # included; only its RTCF digest outlives the timing.
+    direct, direct_seconds = _timed(lambda: open_index(
+        graph, engine="frozen", propagation="vectorized", policy=policy,
+        gap=gap))
+    direct_digest = hashlib.sha256(rtcf_bytes(direct)).digest()
+    del direct
+    gc.collect()
     vector_labeling = assign_postorder(cover, gap)
     _, vector_seconds = _timed(
         lambda: run_propagation(graph, cover, vector_labeling, "vectorized"))
@@ -118,6 +136,10 @@ def run_scale(*, nodes: int, degree: float, seed: int, pairs: int,
                                    policy=policy)
     frozen, freeze_seconds = _timed(vector_index.freeze)
     total_build = time.perf_counter() - build_started
+
+    if hashlib.sha256(rtcf_bytes(frozen)).digest() != direct_digest:
+        raise AssertionError("the direct frozen build diverged from the "
+                             "staged build and freeze")
 
     if python_rtcf is not None:
         # Identical output is the precondition for quoting any speedup:
@@ -138,6 +160,8 @@ def run_scale(*, nodes: int, degree: float, seed: int, pairs: int,
         "vectorized_total_seconds": round(
             cover_seconds + numbering_seconds + vector_seconds
             + total_build, 6),
+        "direct_build_seconds": round(direct_seconds, 6),
+        "direct_verified_identical": True,
     }
 
     json_path = os.path.join(workdir, "closure.json")
@@ -258,6 +282,7 @@ def test_bench_build_smoke(tmp_path):
     result = run_scale(nodes=1500, degree=2.0, seed=1989, pairs=400,
                        repeats=2, workdir=str(tmp_path))
     assert result["build"]["propagation"]["verified_identical"]
+    assert result["build"]["direct_verified_identical"]
     assert result["cold_load"]["verified_identical"]
     # The >= 10x cold-load and >= 2x propagation bars are enforced on
     # the committed 100k-node BENCH_build.json; at smoke scale fixed

@@ -167,9 +167,7 @@ def _rank_runs_numpy(np, used: Sequence[int], rows: Sequence):
 
     Every row's ``IntervalSet`` end-points are flattened in row order,
     mapped to rank space by ``searchsorted`` over the live numbers, and
-    coalesced:
-    a run starts where the row changes or where an interval's first rank
-    lies beyond the row's running maximum last rank plus one.
+    coalesced by :func:`_coalesce_runs`.
     """
     n = len(rows)
     los_lists = [row._los for row in rows]
@@ -189,6 +187,17 @@ def _rank_runs_numpy(np, used: Sequence[int], rows: Sequence):
     keep = first <= last  # gap-only intervals cover no live number
     if not keep.all():
         first, last, owner = first[keep], last[keep], owner[keep]
+    return _coalesce_runs(np, first, last, owner, n)
+
+
+def _coalesce_runs(np, first, last, owner, n: int):
+    """CSR ``(offsets, lows, highs)`` of ``n`` rows' coalesced rank runs.
+
+    ``first``/``last`` are non-empty rank ranges grouped by ascending
+    ``owner`` row and sorted by ``first`` within a row.  A run starts
+    where the row changes or where a range's first rank lies beyond the
+    row's running maximum last rank plus one.
+    """
     starts = np.ones(len(first), dtype=bool)
     if len(first) > 1:
         # The running maximum of owner * stride + last is, within a row,
@@ -285,6 +294,35 @@ class FrozenTCIndex:
         return cls(nodes=nodes, numbers=list(used), offsets=offsets,
                    lows=lows, highs=highs, backend=backend,
                    source=index, source_epoch=index.epoch)
+
+    @classmethod
+    def from_graph(cls, graph, *, gap: int, policy: str = "alg1",
+                   merge_ordering: bool = False, rng=None,
+                   backend: Optional[str] = None) -> "FrozenTCIndex":
+        """Build straight from ``graph``: the buffers ``from_index`` would
+        compile from ``IntervalTCIndex.build(graph, ...)``, byte for byte,
+        without the mutable index.  Needs numpy.
+
+        Tree cover, one postorder walk, then the vectorized propagation
+        kernel run in rank space and coalesced
+        (:func:`~repro.core.propagation.propagate_rank_runs`).  ``gap``
+        only sets the stored postorder numbers: a snapshot takes no
+        inserts, so the numbering gaps have nothing to reserve.  The
+        result has no source index and never goes stale.
+        """
+        from repro.core.index import build_cover
+        from repro.core.labeling import check_gap
+        from repro.core.propagation import propagate_rank_runs
+        np = _numpy()
+        if np is None:
+            raise ReproError("FrozenTCIndex.from_graph needs numpy")
+        cover = build_cover(graph, policy, merge_ordering=merge_ordering,
+                            rng=rng)
+        check_gap(gap)
+        nodes, offsets, lows, highs = propagate_rank_runs(np, graph, cover)
+        numbers = list(range(gap, (len(nodes) + 1) * gap, gap))
+        return cls(nodes=nodes, numbers=numbers, offsets=offsets,
+                   lows=lows, highs=highs, backend=backend)
 
     @classmethod
     def from_buffers(cls, *, nodes: Sequence[Node], numbers: Sequence,

@@ -46,6 +46,18 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 DEFAULT_GAP = 32
 
 
+def build_cover(graph: DiGraph, policy: str = "alg1", *,
+                merge_ordering: bool = False,
+                rng: Union[random.Random, int, None] = None) -> TreeCover:
+    """The tree cover a build numbers: ``policy``'s cover, its tree
+    siblings reordered for merging when ``merge_ordering`` is set."""
+    cover = build_tree_cover(graph, policy, rng=rng)
+    if merge_ordering:
+        from repro.core.merge_ordering import order_children_for_merging
+        order_children_for_merging(graph, cover)
+    return cover
+
+
 @dataclass(frozen=True)
 class IndexStats:
     """Size accounting for one index, in the paper's storage units."""
@@ -172,10 +184,8 @@ class IntervalTCIndex:
         instead.
         """
         from repro.core.propagation import run_propagation
-        cover = build_tree_cover(graph, policy, rng=rng)
-        if merge_ordering:
-            from repro.core.merge_ordering import order_children_for_merging
-            order_children_for_merging(graph, cover)
+        cover = build_cover(graph, policy, merge_ordering=merge_ordering,
+                            rng=rng)
         labeling = assign_postorder(cover, gap)
         run_propagation(graph, cover, labeling, propagation)
         if merge:

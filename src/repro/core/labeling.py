@@ -24,7 +24,7 @@ rely on this, and the property tests assert it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from repro.errors import GraphError
 from repro.core.intervals import Interval, IntervalSet
@@ -63,6 +63,46 @@ class Labeling:
         return 2 * self.total_intervals
 
 
+#: Exhausted-iterator sentinel for :func:`postorder_walk`.
+_END = object()
+
+
+def postorder_walk(cover: TreeCover) -> Tuple[List[Node], List[int]]:
+    """Walk the spanning tree in postorder: the visit order and, per visit,
+    the counter value before the node's subtree was entered.
+
+    The ``k``-th visited node (``k`` from 1) gets number ``k * gap``; with
+    ``entries[k - 1]`` the counter at its subtree's entry, its tree
+    interval is ``[entries[k - 1] * gap + 1, k * gap]``.  In rank space
+    (``gap = 1``, shifted to start at 0) that is ``[entries[k - 1], k - 1]``.
+    The virtual root is walked but never visited.
+    """
+    visits: List[Node] = []
+    entries: List[int] = []
+    children = cover.children
+    # Iterative walk tracking, for every node, the number of visits made
+    # *before* its subtree was entered: the first node visited in the
+    # subtree is visit entry+1, which fixes the interval lo.
+    stack: List[tuple] = [(VIRTUAL_ROOT, iter(children.get(VIRTUAL_ROOT, ())), 0)]
+    while stack:
+        node, kids, counter_at_entry = stack[-1]
+        child = next(kids, _END)
+        if child is not _END:
+            stack.append((child, iter(children.get(child, ())), len(visits)))
+            continue
+        stack.pop()
+        if node is not VIRTUAL_ROOT:
+            visits.append(node)
+            entries.append(counter_at_entry)
+    return visits, entries
+
+
+def check_gap(gap: int) -> None:
+    """Reject numbering strides below 1."""
+    if gap < 1:
+        raise GraphError(f"gap must be >= 1, got {gap}")
+
+
 def assign_postorder(cover: TreeCover, gap: int = 1) -> Labeling:
     """Number the tree cover in postorder and compute tree intervals.
 
@@ -73,34 +113,14 @@ def assign_postorder(cover: TreeCover, gap: int = 1) -> Labeling:
     The returned :class:`Labeling` has interval sets holding only the tree
     intervals; run :func:`propagate_intervals` to add the non-tree ones.
     """
-    if gap < 1:
-        raise GraphError(f"gap must be >= 1, got {gap}")
+    check_gap(gap)
+    visits, entries = postorder_walk(cover)
     postorder: Dict[Node, int] = {}
     tree_interval: Dict[Node, Interval] = {}
-    counter = 0
-
-    # Iterative postorder over the spanning tree, tracking for every node
-    # the counter value *before* its subtree was entered: the first node
-    # visited in the subtree gets counter+1, which fixes the interval lo.
-    stack: List[tuple] = [(VIRTUAL_ROOT, iter(cover.tree_children(VIRTUAL_ROOT)), counter)]
-    while stack:
-        node, kids, counter_at_entry = stack[-1]
-        advanced = False
-        for child in kids:
-            stack.append((child, iter(cover.tree_children(child)), counter))
-            advanced = True
-            break
-        if advanced:
-            continue
-        stack.pop()
-        if node is VIRTUAL_ROOT:
-            continue
-        counter += 1
+    for counter, (node, counter_at_entry) in enumerate(zip(visits, entries), 1):
         number = counter * gap
-        lo = counter_at_entry * gap + 1
         postorder[node] = number
-        tree_interval[node] = Interval(lo, number)
-
+        tree_interval[node] = Interval(counter_at_entry * gap + 1, number)
     intervals = {node: IntervalSet([tree_interval[node]]) for node in postorder}
     return Labeling(postorder=postorder, tree_interval=tree_interval,
                     intervals=intervals, gap=gap)

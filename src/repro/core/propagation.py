@@ -21,6 +21,13 @@ segment — the same "subsumption-maximal elements of the union" fixpoint
 labeling is *identical*, not merely equivalent (the parity test and the
 differential fuzzer both assert this).
 
+The level loop (:func:`_propagate_pool`) takes tree intervals as plain
+arrays, so it serves two callers: the mutable build feeds it gapped
+postorder numbers and writes the pool back into per-node
+``IntervalSet`` objects; a build that goes straight to a frozen engine
+(:func:`propagate_rank_runs`) feeds it postorder *ranks* and coalesces
+the pool into the frozen CSR rows directly.
+
 Without numpy the kernel degrades gracefully to the sequential pass, so
 ``propagation="vectorized"`` is safe to request unconditionally.
 """
@@ -29,9 +36,9 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.core.frozen import _numpy
+from repro.core.frozen import _coalesce_runs, _numpy
 from repro.core.intervals import IntervalSet
-from repro.core.labeling import Labeling, propagate_intervals
+from repro.core.labeling import Labeling, postorder_walk, propagate_intervals
 from repro.core.tree_cover import TreeCover
 from repro.errors import ReproError
 from repro.graph.digraph import DiGraph, Node
@@ -46,15 +53,16 @@ def _sweep(np, los, his, owners):
     subsumption-maximal runs, ordered by (owner, lo)."""
     # (owner asc, lo asc, hi desc) in ONE argsort when the composite key
     # fits int64 — a single introsort beats lexsort's three stable
-    # passes by ~2-3x.  The range guard never fires for realistic
-    # numberings (the caller already bounds owner * hi).
+    # passes by ~2-3x.  The key overflows int64 once the three spans
+    # multiply past 2**62 (end-points past ~2**31 on a one-node level);
+    # lexsort takes those levels.
     lo_span = int(los.max()) + 1
     hi_span = int(his.max()) + 1
     owner_span = int(owners.max()) + 1
     if owner_span * lo_span * hi_span < 2**62:
         key = (owners * lo_span + los) * hi_span + (hi_span - 1 - his)
         order = np.argsort(key)
-    else:  # pragma: no cover - astronomically large gaps only
+    else:
         order = np.lexsort((-his, los, owners))
     slo = los[order]
     shi = his[order]
@@ -90,31 +98,39 @@ def _levelize_lists(order: List[Node], succ_lists: List) -> Dict[Node, int]:
     return level
 
 
-def propagate_intervals_vectorized(graph: DiGraph, cover: TreeCover,
-                                   labeling: Labeling) -> None:
-    """Drop-in replacement for :func:`propagate_intervals`.
+def _concat_ranges(np, starts, lengths):
+    """Positions of the concatenated ``[start, start + length)`` ranges:
+    the cumsum trick, one ``arange`` plus a repeated per-range shift."""
+    shift = np.cumsum(lengths) - lengths
+    return (np.arange(int(lengths.sum()), dtype=np.int64)
+            + np.repeat(starts - shift, lengths))
 
-    Mutates ``labeling.intervals`` in place to the exact sets the
-    sequential pass produces.  Falls back to the sequential pass when
-    numpy is unavailable.
+
+def _propagate_pool(np, graph: DiGraph, order: List[Node], tree_lo_all,
+                    tree_hi_all):
+    """The level loop: every node's final runs in one flat pool.
+
+    Ids are positions in the topological ``order``; ``tree_lo_all`` and
+    ``tree_hi_all`` hold each id's tree interval, in number space or in
+    rank space alike — subsumption compares lo with lo and hi with hi
+    only, so any strictly monotone relabelling of either end keeps the
+    same survivors in the same order.  Returns ``(pool_lo, pool_hi,
+    start, end)``: id ``i``'s runs are ``pool[start[i]:end[i]]``, sorted
+    by ``lo``.
+
+    Each level is resolved with a fixed number of numpy calls.  A level
+    whose segmented keys (``count * hi``) would overflow int64 takes
+    :func:`_sweep_python`; one whose composite sort key (``owners * lo *
+    hi``) would, sorts with ``lexsort``.  End-points grow with the gap,
+    so the rank-space route, whose sort keys are about ``gap**2`` times
+    smaller, reaches both fallbacks far later than the mutable build.
     """
-    np = _numpy()
-    if np is None:  # numpy-free installs: correct, just not vectorized
-        propagate_intervals(graph, cover, labeling)
-        return
-
-    order = cover.order
     n = len(order)
-    if not n:
-        return
     successors = graph.successors
     succ_lists = [successors(node) for node in order]
     level_of = _levelize_lists(order, succ_lists)
-    tree = labeling.tree_interval
 
-    # One-time move into id space (id = position in `order`): the graph
-    # as CSR arrays, the tree intervals as flat arrays.  After this,
-    # each level is resolved with a fixed number of numpy calls — no
+    # The graph as CSR arrays in id space.  After this there is no
     # per-node or per-arc Python work inside the level loop.
     id_of = {node: i for i, node in enumerate(order)}
     counts = np.array([len(succs) for succs in succ_lists], dtype=np.int64)
@@ -124,11 +140,9 @@ def propagate_intervals_vectorized(graph: DiGraph, cover: TreeCover,
     indices = np.array(
         [identifier for succs in succ_lists
          for identifier in map(get_id, succs)], dtype=np.int64)
-    tree_spans = [tree[node] for node in order]
-    tree_lo_all = np.array([span.lo for span in tree_spans], dtype=np.int64)
-    tree_hi_all = np.array([span.hi for span in tree_spans], dtype=np.int64)
 
-    levels: List[List[int]] = [[] for _ in range(max(level_of.values()) + 1)]
+    levels: List[List[int]] = [
+        [] for _ in range(max(level_of.values(), default=-1) + 1)]
     # Iterate `order`, not the dict, so level membership order is
     # deterministic (insertion order of a dict built from `order` would
     # match, but this makes the invariant explicit).
@@ -152,27 +166,18 @@ def propagate_intervals_vectorized(graph: DiGraph, cover: TreeCover,
         tree_hi = tree_hi_all[members]
         row_start = indptr[members]
         succ_counts = indptr[members + 1] - row_start
-        total_arcs = int(succ_counts.sum())
 
-        if total_arcs == 0:
+        if not succ_counts.any():
             # A pure-sink level: everything keeps its tree interval.
             kept_lo, kept_hi = tree_lo, tree_hi
             bounds = np.arange(count + 1, dtype=np.int64)
         else:
-            # Concatenated [start, start+length) ranges — the
-            # standard cumsum trick, applied twice: once to walk the
-            # CSR successor lists, once to walk each successor's
+            # Walk the CSR successor lists, then each successor's
             # resolved slice of the pool.
-            arc_shift = np.cumsum(succ_counts) - succ_counts
-            arc_pos = (np.arange(total_arcs, dtype=np.int64)
-                       + np.repeat(row_start - arc_shift, succ_counts))
-            succ_ids = indices[arc_pos]
+            succ_ids = indices[_concat_ranges(np, row_start, succ_counts)]
             starts = start_arr[succ_ids]
             lengths = end_arr[succ_ids] - starts
-            total = int(lengths.sum())
-            item_shift = np.cumsum(lengths) - lengths
-            gather = (np.arange(total, dtype=np.int64)
-                      + np.repeat(starts - item_shift, lengths))
+            gather = _concat_ranges(np, starts, lengths)
             arc_owner = np.repeat(np.arange(count, dtype=np.int64),
                                   succ_counts)
             los = np.concatenate([tree_lo, pool_lo[gather]])
@@ -180,10 +185,7 @@ def propagate_intervals_vectorized(graph: DiGraph, cover: TreeCover,
             owners = np.concatenate([
                 np.arange(count, dtype=np.int64),
                 np.repeat(arc_owner, lengths)])
-            if count * (int(his.max()) + 1) >= 2**62:  # pragma: no cover
-                # The segmented sweep keys would overflow int64; such
-                # numberings only arise from astronomically large
-                # gaps — take the slow path for this level.
+            if count * (int(his.max()) + 1) >= 2**62:
                 kept_lo, kept_hi, kept_owner = _sweep_python(
                     np, ids, tree_lo_all, tree_hi_all, pool_lo,
                     pool_hi, start_arr, end_arr, indptr, indices)
@@ -206,11 +208,32 @@ def propagate_intervals_vectorized(graph: DiGraph, cover: TreeCover,
         start_arr[members] = size + bounds[:-1]
         end_arr[members] = size + bounds[1:]
         size = needed
+    return pool_lo[:size], pool_hi[:size], start_arr, end_arr
+
+
+def propagate_intervals_vectorized(graph: DiGraph, cover: TreeCover,
+                                   labeling: Labeling) -> None:
+    """Drop-in replacement for :func:`propagate_intervals`.
+
+    Mutates ``labeling.intervals`` in place to the exact sets the
+    sequential pass produces.  Falls back to the sequential pass when
+    numpy is unavailable.
+    """
+    np = _numpy()
+    if np is None:  # numpy-free installs: correct, just not vectorized
+        propagate_intervals(graph, cover, labeling)
+        return
+    order = cover.order
+    tree_spans = [labeling.tree_interval[node] for node in order]
+    pool_lo, pool_hi, start_arr, end_arr = _propagate_pool(
+        np, graph, order,
+        np.array([span.lo for span in tree_spans], dtype=np.int64),
+        np.array([span.hi for span in tree_spans], dtype=np.int64))
 
     # Write-back: two bulk tolist() calls, then plain list slices —
     # no per-node numpy round trips.
-    all_lo = pool_lo[:size].tolist()
-    all_hi = pool_hi[:size].tolist()
+    all_lo = pool_lo.tolist()
+    all_hi = pool_hi.tolist()
     intervals = labeling.intervals
     make = IntervalSet.__new__
     for node, begin, end in zip(order, start_arr.tolist(),
@@ -219,6 +242,39 @@ def propagate_intervals_vectorized(graph: DiGraph, cover: TreeCover,
         fresh._los = all_lo[begin:end]
         fresh._his = all_hi[begin:end]
         intervals[node] = fresh
+
+
+def propagate_rank_runs(np, graph: DiGraph, cover: TreeCover):
+    """A fresh build's frozen rows, propagated in rank space.
+
+    Returns ``(nodes, offsets, lows, highs)``: the nodes in postorder
+    (rank order) and the CSR of every row's coalesced rank runs — what
+    :meth:`FrozenTCIndex.from_index` compiles from the same cover at any
+    gap.  The ``k``-th visited node's number-space tree interval
+    ``[(k_first - 1) * gap + 1, k * gap]`` is ``[k_first - 1, k - 1]`` in
+    rank space, so the pool kernel runs on ranks directly: no per-node
+    ``IntervalSet``, no end-point search, no mutable index.
+    """
+    nodes, entries = postorder_walk(cover)
+    n = len(nodes)
+    order = cover.order
+    rank_of = {node: rank for rank, node in enumerate(nodes)}
+    rank_of_id = np.fromiter(map(rank_of.__getitem__, order),
+                             dtype=np.int64, count=n)
+    tree_lo = np.asarray(entries, dtype=np.int64)[rank_of_id]
+    pool_lo, pool_hi, start_arr, end_arr = _propagate_pool(
+        np, graph, order, tree_lo, rank_of_id)
+
+    # Gather every row in rank order; each is already sorted by lo.
+    id_of_rank = np.empty(n, dtype=np.int64)
+    id_of_rank[rank_of_id] = np.arange(n, dtype=np.int64)
+    starts = start_arr[id_of_rank]
+    lengths = end_arr[id_of_rank] - starts
+    gather = _concat_ranges(np, starts, lengths)
+    owner = np.repeat(np.arange(n, dtype=np.int64), lengths)
+    offsets, lows, highs = _coalesce_runs(
+        np, pool_lo[gather], pool_hi[gather], owner, n)
+    return nodes, offsets, lows, highs
 
 
 def _sweep_python(np, ids, tree_lo_all, tree_hi_all, pool_lo, pool_hi,

@@ -40,6 +40,7 @@ from collections import deque
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.intervals import Interval, IntervalSet
+from repro.core.labeling import assign_postorder
 from repro.core.tree_cover import VIRTUAL_ROOT
 from repro.errors import (
     ArcNotFoundError,
@@ -469,38 +470,13 @@ def renumber(index: "IntervalTCIndex", gap: Optional[int] = None) -> None:
     one closure propagation — much cheaper than a rebuild, though only a
     rebuild restores Alg1 optimality after many updates.
     """
-    if gap is not None:
-        if gap < 1:
-            raise GraphError(f"gap must be >= 1, got {gap}")
-        index.gap = gap
+    stride = index.gap if gap is None else gap
+    labeling = assign_postorder(index.cover, stride)  # rejects gap < 1
+    index.gap = stride
     index._invalidate()
     index._renumber_count = getattr(index, "_renumber_count", 0) + 1
-    stride = index.gap
-
-    counter = 0
-    stack: List[tuple] = [
-        (VIRTUAL_ROOT, iter(index.cover.tree_children(VIRTUAL_ROOT)), counter)
-    ]
-    postorder: Dict[Node, int] = {}
-    tree_interval: Dict[Node, Interval] = {}
-    while stack:
-        node, kids, counter_at_entry = stack[-1]
-        advanced = False
-        for child in kids:
-            stack.append((child, iter(index.cover.tree_children(child)), counter))
-            advanced = True
-            break
-        if advanced:
-            continue
-        stack.pop()
-        if node is VIRTUAL_ROOT:
-            continue
-        counter += 1
-        postorder[node] = counter * stride
-        tree_interval[node] = Interval(counter_at_entry * stride + 1, counter * stride)
-
-    index.postorder = postorder
-    index.tree_interval = tree_interval
-    index.node_of_number = {number: node for node, number in postorder.items()}
+    index.postorder = labeling.postorder
+    index.tree_interval = labeling.tree_interval
+    index.node_of_number = labeling.node_of_number
     index.used_numbers = sorted(index.node_of_number)
     recompute_non_tree_intervals(index)

@@ -50,6 +50,7 @@ import os
 from pathlib import Path
 from typing import Optional
 
+from repro.core.frozen import FrozenTCIndex, _numpy
 from repro.core.hybrid import HybridTCIndex
 from repro.core.index import DEFAULT_GAP, IntervalTCIndex
 from repro.errors import ReproError
@@ -77,7 +78,22 @@ def _build_interval(graph, *, backend, gap, **kwargs):
     return IntervalTCIndex.build(graph, gap=gap, **kwargs)
 
 
+#: Build options the direct frozen route (:meth:`FrozenTCIndex.from_graph`)
+#: honours.  ``merge`` only joins touching intervals, which freeze
+#: coalesces anyway; every other option (``numbering``, the renumbering
+#: knobs) keeps the staged route and its validation.
+_DIRECT_FROZEN_OPTIONS = frozenset(
+    {"policy", "merge", "merge_ordering", "propagation", "rng"})
+
+
 def _build_frozen(graph, *, backend, gap, **kwargs):
+    if (kwargs.get("propagation") == "vectorized"
+            and _DIRECT_FROZEN_OPTIONS.issuperset(kwargs)
+            and _numpy() is not None):
+        kwargs.pop("propagation")
+        kwargs.pop("merge", None)
+        return FrozenTCIndex.from_graph(graph, gap=gap, backend=backend,
+                                        **kwargs)
     return IntervalTCIndex.build(graph, gap=gap, **kwargs).freeze(
         backend=backend)
 

@@ -72,8 +72,8 @@ OP_KINDS = MUTATING_KINDS | {"freeze", "query", "compact"}
 #: label engines (``hoplabel``; ``chain`` rides in via ``baselines``).
 DEFAULT_ENGINES: Tuple[str, ...] = ("frozen", "hybrid", "rebuild",
                                     "rebuild-merged", "rebuild-vectorized",
-                                    "rtcf", "baselines", "hybrid-delta",
-                                    "hoplabel")
+                                    "rebuild-frozen-direct", "rtcf",
+                                    "baselines", "hybrid-delta", "hoplabel")
 
 #: Compaction threshold of the live hybrid mirror: small enough that a
 #: fuzz run crosses it many times, so freeze→mutate→query→compact

@@ -241,26 +241,43 @@ def _build_interval_vectorized(graph: DiGraph):
     return IntervalTCIndex.build(graph, gap=1, propagation="vectorized")
 
 
-def _build_rtcf(graph: DiGraph):
-    """A frozen engine compared after a real save/mmap-load cycle.
-
-    Freezes a fresh build, writes the RTCF container to a temp file, and
-    reopens it through ``mmap`` with full checksum verification — so the
-    comparison exercises the binary writer, the structural validator,
-    and the zero-copy mapped view, not just the in-memory freeze.  The
-    backing temp directory stays alive as long as the view is
-    referenced.
-    """
+def _mapped(frozen):
+    """``frozen`` written to a temp RTCF file and reopened through
+    ``mmap`` with full checksum verification.  The backing temp
+    directory stays alive as long as the view is referenced."""
     import os
     import tempfile
-    from repro.core.index import IntervalTCIndex
     from repro.core.rtcf import load_rtcf, save_rtcf
     guard = tempfile.TemporaryDirectory(prefix="rtcf-engine-")
     path = os.path.join(guard.name, "engine.rtcf")
-    save_rtcf(IntervalTCIndex.build(graph).freeze(), path)
+    save_rtcf(frozen, path)
     mapped = load_rtcf(path, verify=True)
     mapped._tempdir_guard = guard
     return mapped
+
+
+def _build_rtcf(graph: DiGraph):
+    """A frozen engine compared after a real save/mmap-load cycle.
+
+    Freezes a fresh build and reopens its RTCF container — so the
+    comparison exercises the binary writer, the structural validator,
+    and the zero-copy mapped view, not just the in-memory freeze.
+    """
+    from repro.core.index import IntervalTCIndex
+    return _mapped(IntervalTCIndex.build(graph).freeze())
+
+
+def _build_frozen_direct(graph: DiGraph):
+    """A frozen engine built by the direct route, after a save/mmap-load.
+
+    ``open_index(engine="frozen", propagation="vectorized")`` skips the
+    mutable index and propagates in rank space; the RTCF round trip puts
+    the route's buffers through the same writer and mapped view as the
+    ``rtcf`` engine.
+    """
+    from repro.factory import open_index
+    return _mapped(open_index(graph, engine="frozen",
+                              propagation="vectorized"))
 
 
 def _build_server(graph: DiGraph):
@@ -348,6 +365,7 @@ ENGINE_FACTORIES: Dict[str, Callable[[DiGraph], object]] = {
     "rebuild-merged": _build_interval_merged,
     "rebuild-vectorized": _build_interval_vectorized,
     "rebuild-frozen": _build_frozen,
+    "rebuild-frozen-direct": _build_frozen_direct,
     "rtcf": _build_rtcf,
     "full": _build_full,
     "bitmatrix": _build_bitmatrix,

@@ -11,8 +11,8 @@ from repro.core import frozen as frozen_module
 from repro.core import queries
 from repro.core.batch import apply_diff
 from repro.core.frozen import BACKENDS, FrozenTCIndex, default_backend
-from repro.core.index import IntervalTCIndex
-from repro.core.rtcf import rtcf_bytes
+from repro.core.index import DEFAULT_GAP, IntervalTCIndex
+from repro.core.rtcf import load_rtcf, rtcf_bytes, save_rtcf
 from repro.core.updates import remove_node
 from repro.core.serialize import (
     frozen_to_dict,
@@ -22,9 +22,11 @@ from repro.core.serialize import (
     save_index,
 )
 from repro.factory import open_index
-from repro.errors import IndexStateError, NodeNotFoundError, ReproError
+from repro.errors import (CycleError, GraphError, IndexStateError,
+                          NodeNotFoundError, ReproError)
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import random_dag
+from repro.graph.io import load_edge_list
 
 try:
     import numpy  # noqa: F401 - availability probe only
@@ -401,6 +403,153 @@ class TestFreezeKernel:
         assert index.used_numbers[-1] >= 2**63
         assert (index.freeze(force=True).to_buffers()
                 == reference_view(index).to_buffers())
+
+
+# ----------------------------------------------------------------------
+# the direct route: graph -> frozen engine, propagated in rank space
+# ----------------------------------------------------------------------
+def staged_bytes(graph: DiGraph, **options) -> bytes:
+    """RTCF bytes of the staged route: mutable build, then freeze."""
+    return rtcf_bytes(IntervalTCIndex.build(graph, **options).freeze())
+
+
+def direct_build(graph, monkeypatch, **options) -> FrozenTCIndex:
+    """``open_index`` by the direct route; fails if a mutable index is
+    built on the way."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the direct route built a mutable index")
+    with monkeypatch.context() as patch:
+        patch.setattr(IntervalTCIndex, "build", refuse)
+        return open_index(graph, engine="frozen", propagation="vectorized",
+                          **options)
+
+
+def direct_graphs():
+    rng = random.Random(1414)
+    dense = random_dag(150, 2.5, rng)
+    yield "dense-int", dense
+    yield "string", DiGraph(arcs=[(f"n{s}", f"n{d}")
+                                  for s, d in dense.arcs()])
+    yield "sparse", random_dag(120, 1.2, rng)
+    yield "paper", DiGraph(arcs=[("a", "b"), ("b", "c"), ("b", "d"),
+                                 ("a", "e"), ("e", "d"), ("c", "f")])
+    yield "empty", DiGraph()
+    yield "single", DiGraph(nodes=["only"])
+    yield "isolated", DiGraph(arcs=[(1, 2), (2, 3)], nodes=[7, 0, 9])
+
+
+@pytest.mark.skipif(not HAVE_NUMPY, reason="the direct route needs numpy")
+class TestDirectBuild:
+    @pytest.mark.parametrize("gap", [1, DEFAULT_GAP, 1024])
+    @pytest.mark.parametrize("policy", ["alg1", "first_parent"])
+    def test_bytes_equal_the_staged_route(self, monkeypatch, gap, policy):
+        for name, graph in direct_graphs():
+            frozen = direct_build(graph, monkeypatch, gap=gap, policy=policy)
+            assert rtcf_bytes(frozen) == staged_bytes(
+                graph, gap=gap, policy=policy), name
+            assert frozen._numbers == [gap * (rank + 1)
+                                       for rank in range(len(graph))]
+
+    @pytest.mark.parametrize("options", [
+        pytest.param({"merge_ordering": True}, id="merge-ordering"),
+        # merge only joins touching intervals; freeze coalesces them anyway
+        pytest.param({"merge": True}, id="merge"),
+        pytest.param({"merge": True, "merge_ordering": True, "gap": 4},
+                     id="merge-both"),
+        pytest.param({"policy": "random", "rng": 5}, id="random-policy")])
+    def test_options_keep_their_meaning(self, monkeypatch, options):
+        for name, graph in direct_graphs():
+            frozen = direct_build(graph, monkeypatch, **options)
+            assert rtcf_bytes(frozen) == staged_bytes(graph, **options), name
+
+    def test_holds_no_mutable_index(self, monkeypatch):
+        graph = random_dag(60, 2.0, random.Random(3))
+        frozen = direct_build(graph, monkeypatch)
+        assert frozen._source is None
+        assert frozen.epoch == 0 and not frozen.is_stale()
+        index = IntervalTCIndex.build(graph)
+        for node in list(graph.nodes())[::7]:
+            assert frozen.successors(node) == index.successors(node)
+
+    def test_edge_list_source(self, monkeypatch, tmp_path):
+        graph = random_dag(80, 2.0, random.Random(8))
+        path = tmp_path / "graph.edges"
+        path.write_text("".join(f"n{s} n{d}\n" for s, d in graph.arcs()))
+        frozen = direct_build(str(path), monkeypatch, policy="first_parent")
+        assert rtcf_bytes(frozen) == staged_bytes(load_edge_list(str(path)),
+                                                  policy="first_parent")
+
+    def test_fractional_numbering_takes_the_staged_route(self):
+        """``numbering`` stays on the staged route, with its validation
+        (fractional needs gap >= 2).  Its bytes would match: a fresh
+        build's numbers are integers either way."""
+        graph = random_dag(50, 2.0, random.Random(4))
+        frozen = open_index(graph, engine="frozen", propagation="vectorized",
+                            numbering="fractional", gap=4)
+        assert isinstance(frozen._source, IntervalTCIndex)
+        assert rtcf_bytes(frozen) == staged_bytes(graph, gap=4)
+        with pytest.raises(IndexStateError):
+            open_index(graph, engine="frozen", propagation="vectorized",
+                       numbering="fractional", gap=1)
+
+    def test_python_propagation_and_numpy_free_take_the_staged_route(
+            self, monkeypatch):
+        graph = random_dag(40, 2.0, random.Random(6))
+        frozen = open_index(graph, engine="frozen", propagation="python")
+        assert isinstance(frozen._source, IntervalTCIndex)
+        monkeypatch.setattr(frozen_module, "_NUMPY_PROBED", True)
+        monkeypatch.setattr(frozen_module, "_np", None)
+        frozen = open_index(graph, engine="frozen", propagation="vectorized")
+        assert isinstance(frozen._source, IntervalTCIndex)
+        assert frozen.backend == "array"
+
+    def test_errors_match_the_staged_route(self, monkeypatch):
+        with pytest.raises(CycleError):
+            direct_build(DiGraph(arcs=[("a", "b"), ("b", "a")]), monkeypatch)
+        with pytest.raises(GraphError, match="gap"):
+            direct_build(DiGraph(arcs=[("a", "b")]), monkeypatch, gap=0)
+        with pytest.raises(GraphError, match="policy"):
+            direct_build(DiGraph(arcs=[("a", "b")]), monkeypatch,
+                         policy="nope")
+
+    @pytest.mark.parametrize("num_nodes", [
+        pytest.param(46_340, id="int32-side"),
+        pytest.param(46_341, id="int64-side")])
+    def test_rank_dtype_switch(self, monkeypatch, num_nodes):
+        import numpy
+        arcs = [((child - 1) // 2, child) for child in range(1, num_nodes)]
+        arcs += [(node, node + 3) for node in range(0, num_nodes - 3, 997)]
+        graph = DiGraph(arcs=arcs)
+        frozen = direct_build(graph, monkeypatch, policy="first_parent")
+        fits = frozen_module._rank_keys_fit_int32(num_nodes)
+        assert fits == (num_nodes == 46_340)
+        assert frozen._dtype == (numpy.int32 if fits else numpy.int64)
+        assert rtcf_bytes(frozen) == staged_bytes(
+            graph, policy="first_parent", propagation="vectorized")
+
+
+@pytest.mark.skipif(not HAVE_NUMPY, reason="the label table needs numpy")
+class TestLabelTable:
+    """``_build_lut`` builds the int-label table up to label 65,536."""
+
+    @pytest.mark.parametrize("top, has_table", [
+        pytest.param(65_536, True, id="at-limit"),
+        pytest.param(65_537, False, id="past-limit")])
+    def test_both_sides_of_the_limit(self, tmp_path, top, has_table):
+        graph = DiGraph(arcs=[(0, 5), (5, top), (3, top), (3, 9)])
+        index = IntervalTCIndex.build(graph)
+        frozen = open_index(graph, engine="frozen", propagation="vectorized")
+        assert (frozen._lut is not None) == has_table
+        pairs = [(s, d) for s in graph.nodes() for d in graph.nodes()]
+        expected = [index.reachable(s, d) for s, d in pairs]
+        assert frozen.reachable_many(pairs) == expected
+        path = str(tmp_path / "labels.rtcf")
+        save_rtcf(frozen, path)
+        mapped = load_rtcf(path, verify=True)
+        assert (mapped._lut is not None) == has_table
+        assert mapped.reachable_many(pairs) == expected
+        assert rtcf_bytes(mapped) == rtcf_bytes(frozen) == rtcf_bytes(
+            index.freeze())
 
 
 # ----------------------------------------------------------------------

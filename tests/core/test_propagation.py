@@ -88,6 +88,57 @@ class TestParity:
         assert python_bytes == vector_bytes
 
 
+@pytest.mark.skipif(not HAVE_NUMPY, reason="vectorized kernel needs numpy")
+class TestSweepKeyOverflow:
+    """Gaps so wide that the level sweep's int64 keys overflow: a
+    one-node level falls back to ``lexsort`` and a wider level to the
+    sequential ``_sweep_python``; both must still equal the python pass."""
+
+    #: 16 nodes: single-node chain levels plus a two-root level whose
+    #: top number is 16 * 2**57 = 2**61.
+    ARCS = ([(i, i + 1) for i in range(7)]
+            + [(8, 10), (9, 10), (8, 11), (9, 11), (10, 12), (11, 13),
+               (12, 3), (13, 14), (9, 15), (8, 0)])
+    GAP = 2**57
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        import numpy
+        import repro.core.propagation as propagation_module
+        counts = {"lexsort": 0, "sweep_python": 0}
+
+        def counted(name, function):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return function(*args, **kwargs)
+            return wrapper
+        monkeypatch.setattr(numpy, "lexsort",
+                            counted("lexsort", numpy.lexsort))
+        monkeypatch.setattr(
+            propagation_module, "_sweep_python",
+            counted("sweep_python", propagation_module._sweep_python))
+        return counts
+
+    def test_both_fallbacks_match_python(self, calls):
+        graph = DiGraph(arcs=self.ARCS)
+        assert len(graph) == 16
+        candidate = IntervalTCIndex.build(graph, gap=self.GAP,
+                                          propagation="vectorized")
+        assert calls["lexsort"] > 0 and calls["sweep_python"] > 0
+        reference = IntervalTCIndex.build(graph, gap=self.GAP)
+        assert interval_table(candidate) == interval_table(reference)
+
+    def test_rank_space_route_stays_on_the_fast_sweep(self, calls):
+        from repro.core.rtcf import rtcf_bytes
+        from repro.factory import open_index
+        graph = DiGraph(arcs=self.ARCS)
+        frozen = open_index(graph, engine="frozen", propagation="vectorized",
+                            gap=self.GAP)
+        assert calls == {"lexsort": 0, "sweep_python": 0}
+        assert rtcf_bytes(frozen) == rtcf_bytes(
+            IntervalTCIndex.build(graph, gap=self.GAP).freeze())
+
+
 class TestDispatch:
     def test_unknown_mode_rejected(self):
         graph = DiGraph(arcs=[("a", "b")])
