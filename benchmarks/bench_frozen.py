@@ -46,8 +46,7 @@ def _best_of(repeats: int, workload: Callable[[], object]) -> float:
 
 
 def run_benchmark(*, nodes: int, degree: float, pairs: int, pred_sample: int,
-                  repeats: int, seed: int,
-                  backend: Optional[str] = None) -> dict:
+                  repeats: int, seed: int) -> dict:
     """Build the Fig 3.9-style graph, time both engines, verify parity."""
     rng = Random(seed)
     graph = random_dag(nodes, degree, seed)
@@ -56,7 +55,7 @@ def run_benchmark(*, nodes: int, degree: float, pairs: int, pred_sample: int,
     build_seconds = time.perf_counter() - build_started
 
     freeze_started = time.perf_counter()
-    frozen = index.freeze(backend=backend)
+    frozen = index.freeze()
     freeze_seconds = time.perf_counter() - freeze_started
 
     node_list = list(graph.nodes())
@@ -129,7 +128,6 @@ def run_benchmark(*, nodes: int, degree: float, pairs: int, pred_sample: int,
             "degree": degree,
             "arcs": graph.num_arcs,
             "intervals": frozen.num_intervals,
-            "backend": frozen.backend,
             "seed": seed,
             "repeats": repeats,
             "build_seconds": round(build_seconds, 6),
@@ -168,7 +166,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--repeats", type=int, default=5,
                         help="best-of-N timing repeats")
     parser.add_argument("--seed", type=int, default=1989)
-    parser.add_argument("--backend", choices=("numpy", "array"), default=None)
     parser.add_argument("--smoke", action="store_true",
                         help="reduced scale for CI (overrides --nodes/--pairs)")
     parser.add_argument("--output", default=str(DEFAULT_OUTPUT))
@@ -181,8 +178,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     result = run_benchmark(nodes=args.nodes, degree=args.degree,
                            pairs=args.pairs, pred_sample=args.pred_sample,
-                           repeats=args.repeats, seed=args.seed,
-                           backend=args.backend)
+                           repeats=args.repeats, seed=args.seed)
     Path(args.output).write_text(json.dumps(result, indent=2) + "\n")
     print(json.dumps(result, indent=2))
     print(f"\nresults written to {args.output}")
@@ -215,15 +211,6 @@ def test_frozen_beats_dict_on_batches(tmp_path):
     assert digest["reachable"]["count"] >= 1000
     assert digest["reachable_many"]["count"] >= 1
     assert digest["reachable"]["p50_seconds"] <= digest["reachable"]["p99_seconds"]
-
-
-def test_array_backend_parity():
-    """The stdlib-array fallback produces identical answers too."""
-    result = run_benchmark(nodes=600, degree=2.0, pairs=500,
-                           pred_sample=10, repeats=1, seed=7,
-                           backend="array")
-    assert result["meta"]["backend"] == "array"
-    assert result["workloads"]["reachable_many"]["verified_identical"]
 
 
 if __name__ == "__main__":

@@ -151,10 +151,9 @@ def run_interval(graph: DiGraph, script: List[list]) -> Tuple[list, list]:
     return answers, latencies
 
 
-def run_refreeze(graph: DiGraph, script: List[list],
-                 backend: Optional[str]) -> Tuple[list, list]:
+def run_refreeze(graph: DiGraph, script: List[list]) -> Tuple[list, list]:
     index = IntervalTCIndex.build(graph.copy())
-    frozen = FrozenTCIndex.from_index(index, backend=backend)
+    frozen = FrozenTCIndex.from_index(index)
     answers, latencies = [], []
     for op in script:
         started = time.perf_counter()
@@ -165,14 +164,14 @@ def run_refreeze(graph: DiGraph, script: List[list],
                 index.add_arc(op[1], op[2])
             else:
                 index.add_node(op[1], parents=[op[2]])
-            frozen = FrozenTCIndex.from_index(index, backend=backend)
+            frozen = FrozenTCIndex.from_index(index)
         latencies.append(time.perf_counter() - started)
     return answers, latencies
 
 
-def run_hybrid(graph: DiGraph, script: List[list],
-               backend: Optional[str]) -> Tuple[list, list, HybridTCIndex]:
-    hybrid = HybridTCIndex.build(graph.copy(), backend=backend)
+def run_hybrid(graph: DiGraph,
+               script: List[list]) -> Tuple[list, list, HybridTCIndex]:
+    hybrid = HybridTCIndex.build(graph.copy())
     answers, latencies = [], []
     for op in script:
         started = time.perf_counter()
@@ -200,8 +199,8 @@ def _report(latencies: List[float]) -> dict:
     }
 
 
-def run_benchmark(*, nodes: int, degree: float, ops: int, seed: int,
-                  backend: Optional[str] = None) -> dict:
+def run_benchmark(*, nodes: int, degree: float, ops: int,
+                  seed: int) -> dict:
     graph = random_dag(nodes, degree, seed)
     mixes = {}
     for mix_name, write_fraction, ops_scale in MIXES:
@@ -209,9 +208,8 @@ def run_benchmark(*, nodes: int, degree: float, ops: int, seed: int,
                              write_fraction=write_fraction,
                              seed=seed + int(write_fraction * 1000))
         interval_answers, interval_lat = run_interval(graph, script)
-        refreeze_answers, refreeze_lat = run_refreeze(graph, script, backend)
-        hybrid_answers, hybrid_lat, hybrid = run_hybrid(graph, script,
-                                                        backend)
+        refreeze_answers, refreeze_lat = run_refreeze(graph, script)
+        hybrid_answers, hybrid_lat, hybrid = run_hybrid(graph, script)
         if refreeze_answers != interval_answers:
             raise AssertionError(f"refreeze diverged on the {mix_name} mix")
         if hybrid_answers != interval_answers:
@@ -238,7 +236,6 @@ def run_benchmark(*, nodes: int, degree: float, ops: int, seed: int,
             "arcs": graph.num_arcs,
             "ops_per_mix": ops,
             "seed": seed,
-            "backend": backend or "default",
         },
         "mixes": mixes,
     }
@@ -252,7 +249,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--ops", type=int, default=6000,
                         help="operations per workload mix")
     parser.add_argument("--seed", type=int, default=1989)
-    parser.add_argument("--backend", choices=("numpy", "array"), default=None)
     parser.add_argument("--quick", action="store_true",
                         help="reduced scale for CI (overrides --nodes/--ops)")
     parser.add_argument("--output", default=str(DEFAULT_OUTPUT))
@@ -263,8 +259,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         args.ops = min(args.ops, 2000)
 
     result = run_benchmark(nodes=args.nodes, degree=args.degree,
-                           ops=args.ops, seed=args.seed,
-                           backend=args.backend)
+                           ops=args.ops, seed=args.seed)
     Path(args.output).write_text(json.dumps(result, indent=2) + "\n")
     print(json.dumps(result, indent=2))
     print(f"\nresults written to {args.output}")

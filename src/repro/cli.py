@@ -171,7 +171,7 @@ def _cmd_predecessors(args: argparse.Namespace) -> int:
 
 def _cmd_freeze(args: argparse.Namespace) -> int:
     index = _load_index_or_build(args.index)
-    frozen = index.freeze(backend=args.backend)
+    frozen = index.freeze()
     format = args.format or ("rtcf" if args.output.endswith(".rtcf")
                              else "json")
     save_frozen_index(frozen, args.output, format=format)
@@ -734,8 +734,6 @@ def build_parser() -> argparse.ArgumentParser:
     freeze.add_argument("index", help="saved index (.json) or edge-list file")
     freeze.add_argument("-o", "--output", required=True,
                         help="write the frozen buffers (JSON or RTCF)")
-    freeze.add_argument("--backend", choices=("numpy", "array"), default=None,
-                        help="buffer backend (default: numpy when installed)")
     freeze.add_argument("--format", choices=("json", "rtcf"), default=None,
                         help="output format (default: rtcf when the output "
                              "ends in .rtcf, else json)")

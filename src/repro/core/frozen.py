@@ -26,10 +26,8 @@ oracles use for speed:
   cover rank q" in O(log m + scanned) — ``predecessors``,
   ``reaching_set`` and ``are_disjoint`` no longer scan every node.
 
-When numpy is importable (it is an optional dependency) the buffers are
-numpy arrays and the batch APIs (:meth:`reachable_many`,
-:meth:`successors_many`, …) run vectorised; otherwise pure-stdlib
-``array('q')`` buffers serve the same layout with ``bisect``.
+The buffers are numpy arrays, so the batch APIs (:meth:`reachable_many`,
+…) run vectorised.
 
 A frozen view is a snapshot: it keeps a reference to its source index and
 the index's epoch counter at freeze time, and raises
@@ -52,7 +50,7 @@ Two levels of snapshot bookkeeping exist:
 Typical use::
 
     index = IntervalTCIndex.build(graph)
-    frozen = index.freeze()                  # numpy-backed when available
+    frozen = index.freeze()
     frozen.reachable("a", "c")               # two reads + one bisect
     frozen.reachable_many(pairs)             # vectorised batch
     frozen.predecessors("c")                 # reverse index, no full scan
@@ -63,7 +61,6 @@ Typical use::
 
 from __future__ import annotations
 
-from array import array
 from bisect import bisect_left, bisect_right
 from itertools import chain
 from typing import (TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional,
@@ -76,47 +73,15 @@ from repro.obs.instrument import instrumented
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.index import IntervalTCIndex
 
-#: Buffer backends, best first; ``freeze(backend=...)`` selects explicitly.
-BACKENDS = ("numpy", "array")
-
-#: Lazily-probed numpy module (or ``None``); written once by :func:`_numpy`.
-_np = None
-_NUMPY_PROBED = False
-
 
 def _numpy():
-    """The numpy module, probed at most once per process.
+    """The numpy module, imported on first use.
 
-    numpy is an optional dependency (the ``test`` extra installs it) and
-    importing it costs ~100ms, so the probe is deferred until a freeze or
-    backend resolution actually needs it and the outcome is cached for
-    the life of the process — ``import repro`` stays numpy-free.
+    Importing numpy costs ~100ms, so it waits until a freeze, load or
+    build needs it: ``import repro`` stays numpy-free.
     """
-    global _np, _NUMPY_PROBED
-    if not _NUMPY_PROBED:
-        try:
-            import numpy
-            _np = numpy
-        except ImportError:  # pragma: no cover - numpy-free installs
-            _np = None
-        _NUMPY_PROBED = True
-    return _np
-
-
-def default_backend() -> str:
-    """``"numpy"`` when importable, else the pure-stdlib ``"array"``."""
-    return "numpy" if _numpy() is not None else "array"
-
-
-def _resolve_backend(backend: Optional[str]) -> str:
-    if backend is None:
-        return default_backend()
-    if backend not in BACKENDS:
-        raise ReproError(
-            f"unknown frozen backend {backend!r}; choose from {BACKENDS}")
-    if backend == "numpy" and _numpy() is None:
-        raise ReproError("backend 'numpy' requested but numpy is not installed")
-    return backend
+    import numpy
+    return numpy
 
 
 def _rank_keys_fit_int32(num_nodes: int) -> bool:
@@ -234,14 +199,13 @@ class FrozenTCIndex:
 
     def __init__(self, *, nodes: Sequence[Node], numbers: Sequence,
                  offsets: Sequence[int], lows: Sequence[int],
-                 highs: Sequence[int], backend: Optional[str] = None,
+                 highs: Sequence[int],
                  source: Optional["IntervalTCIndex"] = None,
                  source_epoch: int = 0) -> None:
         if len(offsets) != len(nodes) + 1:
             raise ReproError("offsets must hold exactly len(nodes) + 1 entries")
         if len(lows) != len(highs) or offsets[-1] != len(lows):
             raise ReproError("interval buffers are inconsistent with offsets")
-        self._backend = _resolve_backend(backend)
         #: rank -> node; the dense interning order (ascending postorder number).
         self._nodes: List[Node] = list(nodes)
         #: rank -> postorder number (ints, or Fractions under fractional
@@ -255,17 +219,13 @@ class FrozenTCIndex:
         self._source_epoch = source_epoch
         self._obs = None
         self._tracer = None
-        if self._backend == "numpy":
-            self._materialize_numpy(offsets, lows, highs)
-        else:
-            self._materialize_array(offsets, lows, highs)
+        self._materialize(offsets, lows, highs)
 
     # ------------------------------------------------------------------
     # compilation
     # ------------------------------------------------------------------
     @classmethod
-    def from_index(cls, index: "IntervalTCIndex", *,
-                   backend: Optional[str] = None) -> "FrozenTCIndex":
+    def from_index(cls, index: "IntervalTCIndex") -> "FrozenTCIndex":
         """Compile ``index`` into flat buffers (prefer ``index.freeze()``).
 
         End-points move from number space to rank space here: each stored
@@ -274,34 +234,33 @@ class FrozenTCIndex:
         intervals cover no node), and touching or overlapping ranges of
         a row are coalesced into one run.
 
-        With numpy and integer numbering this is one vectorised pass over
-        every row's flattened end-points (:func:`_rank_runs_numpy`), so a
-        freeze after incremental updates costs the same as one after a
-        build.  Fractional numbering, end-points beyond int64 and
-        numpy-free installs take the per-interval reference loop
-        (:func:`_rank_runs_python`); both produce identical buffers.
+        Under integer numbering this is one vectorised pass over every
+        row's flattened end-points (:func:`_rank_runs_numpy`), so a freeze
+        after incremental updates costs the same as one after a build.
+        Fractional numbering and end-points beyond int64 take the
+        per-interval reference loop (:func:`_rank_runs_python`); both
+        produce identical buffers.
         """
         used = index.used_numbers
         nodes = [index.node_of_number[number] for number in used]
         rows = [index.intervals[node] for node in nodes]
-        np = _numpy()
         runs = None
-        if np is not None and index.numbering == "integer":
-            runs = _rank_runs_numpy(np, used, rows)
+        if index.numbering == "integer":
+            runs = _rank_runs_numpy(_numpy(), used, rows)
         if runs is None:
             runs = _rank_runs_python(used, rows)
         offsets, lows, highs = runs
         return cls(nodes=nodes, numbers=list(used), offsets=offsets,
-                   lows=lows, highs=highs, backend=backend,
-                   source=index, source_epoch=index.epoch)
+                   lows=lows, highs=highs, source=index,
+                   source_epoch=index.epoch)
 
     @classmethod
     def from_graph(cls, graph, *, gap: int, policy: str = "alg1",
-                   merge_ordering: bool = False, rng=None,
-                   backend: Optional[str] = None) -> "FrozenTCIndex":
+                   merge_ordering: bool = False,
+                   rng=None) -> "FrozenTCIndex":
         """Build straight from ``graph``: the buffers ``from_index`` would
         compile from ``IntervalTCIndex.build(graph, ...)``, byte for byte,
-        without the mutable index.  Needs numpy.
+        without the mutable index.
 
         Tree cover, one postorder walk, then the vectorized propagation
         kernel run in rank space and coalesced
@@ -313,22 +272,19 @@ class FrozenTCIndex:
         from repro.core.index import build_cover
         from repro.core.labeling import check_gap
         from repro.core.propagation import propagate_rank_runs
-        np = _numpy()
-        if np is None:
-            raise ReproError("FrozenTCIndex.from_graph needs numpy")
         cover = build_cover(graph, policy, merge_ordering=merge_ordering,
                             rng=rng)
         check_gap(gap)
-        nodes, offsets, lows, highs = propagate_rank_runs(np, graph, cover)
+        nodes, offsets, lows, highs = propagate_rank_runs(_numpy(), graph,
+                                                          cover)
         numbers = list(range(gap, (len(nodes) + 1) * gap, gap))
         return cls(nodes=nodes, numbers=numbers, offsets=offsets,
-                   lows=lows, highs=highs, backend=backend)
+                   lows=lows, highs=highs)
 
     @classmethod
     def from_buffers(cls, *, nodes: Sequence[Node], numbers: Sequence,
                      offsets: Sequence[int], lows: Sequence[int],
-                     highs: Sequence[int], backend: Optional[str] = None,
-                     epoch: int = 0) -> "FrozenTCIndex":
+                     highs: Sequence[int], epoch: int = 0) -> "FrozenTCIndex":
         """Rehydrate from persisted buffers — no source index, never stale.
 
         ``epoch`` restores the source-index epoch captured when the view
@@ -337,9 +293,9 @@ class FrozenTCIndex:
         :meth:`detach`-ed view (``lag() == 0``, ``is_stale()`` false).
         """
         return cls(nodes=nodes, numbers=numbers, offsets=offsets, lows=lows,
-                   highs=highs, backend=backend, source_epoch=epoch)
+                   highs=highs, source_epoch=epoch)
 
-    def _materialize_numpy(self, offsets, lows, highs) -> None:
+    def _materialize(self, offsets, lows, highs) -> None:
         np = _numpy()
         n = len(self._nodes)
         dtype = _rank_dtype(np, n)
@@ -356,25 +312,6 @@ class FrozenTCIndex:
         self._rev_maxhi = (np.maximum.accumulate(self._rev_hi)
                            if len(order) else self._rev_hi)
         self._lut = self._build_lut()
-
-    def _materialize_array(self, offsets, lows, highs) -> None:
-        self._off = array("q", offsets)
-        self._lo = array("q", lows)
-        self._hi = array("q", highs)
-        order = sorted(range(len(self._lo)), key=self._lo.__getitem__)
-        row_of = array("q")
-        for rank in range(len(self._nodes)):
-            row_of.extend([rank] * (self._off[rank + 1] - self._off[rank]))
-        self._rev_lo = array("q", (self._lo[j] for j in order))
-        self._rev_hi = array("q", (self._hi[j] for j in order))
-        self._rev_owner = array("q", (row_of[j] for j in order))
-        maxhi = array("q")
-        top = -1
-        for value in self._rev_hi:
-            top = value if value > top else top
-            maxhi.append(top)
-        self._rev_maxhi = maxhi
-        self._lut = None
 
     def _build_lut(self):
         """A label -> id lookup table when labels are small non-negative ints.
@@ -435,11 +372,6 @@ class FrozenTCIndex:
             raise IndexStateError(
                 "frozen view is stale: the source index was updated after "
                 "freeze(); call freeze() again for a fresh view")
-
-    @property
-    def backend(self) -> str:
-        """``"numpy"`` or ``"array"``."""
-        return self._backend
 
     # ------------------------------------------------------------------
     # interning
@@ -542,17 +474,12 @@ class FrozenTCIndex:
 
     def _stab(self, rank: int):
         """Owner ids of every interval containing ``rank``."""
-        if self._backend == "numpy":
-            np = _numpy()
-            stop = int(np.searchsorted(self._rev_lo, rank, side="right"))
-            start = int(np.searchsorted(self._rev_maxhi[:stop], rank,
-                                        side="left"))
-            window = self._rev_hi[start:stop]
-            return self._rev_owner[start:stop][window >= rank].tolist()
-        stop = bisect_right(self._rev_lo, rank)
-        start = bisect_left(self._rev_maxhi, rank, 0, stop)
-        return [self._rev_owner[position] for position in range(start, stop)
-                if self._rev_hi[position] >= rank]
+        np = _numpy()
+        stop = int(np.searchsorted(self._rev_lo, rank, side="right"))
+        start = int(np.searchsorted(self._rev_maxhi[:stop], rank,
+                                    side="left"))
+        window = self._rev_hi[start:stop]
+        return self._rev_owner[start:stop][window >= rank].tolist()
 
     # ------------------------------------------------------------------
     # batch queries
@@ -561,22 +488,14 @@ class FrozenTCIndex:
     def reachable_many(self, pairs: Iterable[Tuple[Node, Node]]) -> List[bool]:
         """Vectorised :meth:`reachable` over ``(source, destination)`` pairs.
 
-        Under the numpy backend every pair becomes one key ``sid * n +
-        dest_rank`` and a single ``searchsorted`` over the row-keyed ``lo``
-        buffer answers the whole batch.
+        Every pair becomes one key ``sid * n + dest_rank`` and a single
+        ``searchsorted`` over the row-keyed ``lo`` buffer answers the whole
+        batch.
         """
         self._check_fresh()
         pair_list = pairs if isinstance(pairs, list) else list(pairs)
         if not pair_list:
             return []
-        if self._backend == "numpy":
-            return self._reachable_many_numpy(pair_list)
-        covers = self._covers
-        intern = self._id
-        return [covers(intern(source), intern(destination))
-                for source, destination in pair_list]
-
-    def _reachable_many_numpy(self, pair_list: List[Tuple[Node, Node]]) -> List[bool]:
         np = _numpy()
         if self._lo_keyed.size == 0:  # hand-built buffers with empty rows
             return [self._covers(self._id(source), self._id(destination))
@@ -600,17 +519,24 @@ class FrozenTCIndex:
 
     def _ids_table(self, pair_list, count: int):
         """LUT translation of a pair batch, or ``None`` to use the dict path
-        (non-integer labels, out-of-table labels, or unknown nodes)."""
+        (labels other than exact ints, out-of-table labels, or unknown
+        nodes).
+
+        The type check comes first: numpy would read ``1.5`` or ``"1"``
+        as the int 1 and answer for the wrong node.
+        """
         table = self._lut
         if table is None:
             return None
+        labels = list(chain.from_iterable(pair_list))
+        if set(map(type, labels)) != {int}:
+            return None
         np = _numpy()
         try:
-            flat = np.fromiter(chain.from_iterable(pair_list),
-                               dtype=np.int64, count=2 * count)
-        except (TypeError, ValueError):
+            flat = np.fromiter(labels, dtype=np.int64, count=2 * count)
+        except OverflowError:
             return None
-        if flat.size == 0 or flat.min() < 0 or flat.max() >= table.size:
+        if flat.min() < 0 or flat.max() >= table.size:
             return None
         ids = table[flat]
         if (ids < 0).any():
@@ -717,13 +643,11 @@ class FrozenTCIndex:
         buffers = (self._off, self._lo, self._hi,
                    self._rev_lo, self._rev_hi, self._rev_owner,
                    self._rev_maxhi)
-        if self._backend == "numpy":
-            total = sum(buffer.nbytes for buffer in buffers)
-            total += self._lo_keyed.nbytes
-            if self._lut is not None:
-                total += self._lut.nbytes
-            return total
-        return sum(buffer.itemsize * len(buffer) for buffer in buffers)
+        total = sum(buffer.nbytes for buffer in buffers)
+        total += self._lo_keyed.nbytes
+        if self._lut is not None:
+            total += self._lut.nbytes
+        return total
 
     def to_buffers(self) -> dict:
         """Plain-list view of the persistent buffers (see
@@ -755,12 +679,11 @@ class FrozenTCIndex:
         return {
             "num_nodes": len(self._nodes),
             "num_intervals": self.num_intervals,
-            "backend": self._backend,
             "nbytes": self.nbytes,
             "stale": self.is_stale(),
         }
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"FrozenTCIndex(nodes={len(self._nodes)}, "
-                f"intervals={self.num_intervals}, backend={self._backend!r}"
+                f"intervals={self.num_intervals}"
                 f"{', STALE' if self.is_stale() else ''})")

@@ -64,8 +64,8 @@ from __future__ import annotations
 
 import random
 import time as _time
-from typing import (Dict, FrozenSet, Iterable, Iterator, List, Optional,
-                    Sequence, Set, Tuple, Union)
+from typing import (Dict, FrozenSet, Iterable, Iterator, List, Sequence,
+                    Set, Tuple, Union)
 
 from repro.core.frozen import FrozenTCIndex
 from repro.core.index import DEFAULT_GAP, IntervalTCIndex
@@ -97,7 +97,6 @@ class HybridTCIndex:
     """
 
     def __init__(self, index: IntervalTCIndex, *,
-                 backend: Optional[str] = None,
                  max_delta: int = DEFAULT_MAX_DELTA,
                  max_ratio: float = DEFAULT_MAX_RATIO,
                  delete_cost: int = DEFAULT_DELETE_COST,
@@ -109,7 +108,6 @@ class HybridTCIndex:
         if delete_cost < 1:
             raise ReproError(f"delete_cost must be >= 1, got {delete_cost}")
         self._index = index
-        self._backend = backend
         self._max_delta = max_delta
         self._max_ratio = max_ratio
         self._delete_cost = delete_cost
@@ -125,7 +123,7 @@ class HybridTCIndex:
     # ------------------------------------------------------------------
     @classmethod
     def build(cls, graph: DiGraph, *, policy: str = "alg1",
-              gap: int = DEFAULT_GAP, backend: Optional[str] = None,
+              gap: int = DEFAULT_GAP,
               max_delta: int = DEFAULT_MAX_DELTA,
               max_ratio: float = DEFAULT_MAX_RATIO,
               delete_cost: int = DEFAULT_DELETE_COST,
@@ -140,7 +138,7 @@ class HybridTCIndex:
         """
         index = IntervalTCIndex.build(graph, policy=policy, gap=gap, rng=rng,
                                       **index_kwargs)
-        return cls(index, backend=backend, max_delta=max_delta,
+        return cls(index, max_delta=max_delta,
                    max_ratio=max_ratio, delete_cost=delete_cost,
                    auto_compact_on_query=auto_compact_on_query)
 
@@ -159,7 +157,6 @@ class HybridTCIndex:
                 delta_arcs: Sequence[Tuple[Node, Node]],
                 delta_nodes: Iterable[Node],
                 delta_cost: int, tainted: bool,
-                backend: Optional[str] = None,
                 max_delta: int = DEFAULT_MAX_DELTA,
                 max_ratio: float = DEFAULT_MAX_RATIO,
                 delete_cost: int = DEFAULT_DELETE_COST,
@@ -173,7 +170,6 @@ class HybridTCIndex:
         """
         self = cls.__new__(cls)
         self._index = index
-        self._backend = backend
         self._max_delta = max_delta
         self._max_ratio = max_ratio
         self._delete_cost = delete_cost
@@ -196,8 +192,7 @@ class HybridTCIndex:
         # stay strict (stale after one epoch), while the base must be
         # pinned.  Detaching a shared cache entry would leak never-stale
         # views to other callers.
-        frozen = FrozenTCIndex.from_index(self._index,
-                                          backend=self._backend).detach()
+        frozen = FrozenTCIndex.from_index(self._index).detach()
         # Every recompiled base inherits this hybrid's observability so
         # base lookups keep reporting after a compaction.
         frozen._obs = (self._obs.child("FrozenTCIndex")

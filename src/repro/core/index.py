@@ -228,8 +228,7 @@ class IntervalTCIndex:
         if self.journal is not None:
             self.journal.append(op)
 
-    def freeze(self, *, backend: Optional[str] = None,
-               force: bool = False) -> "FrozenTCIndex":
+    def freeze(self, *, force: bool = False) -> "FrozenTCIndex":
         """Compile this index into a :class:`~repro.core.frozen.FrozenTCIndex`.
 
         The flat-array engine answers the same queries faster (and adds
@@ -237,16 +236,14 @@ class IntervalTCIndex:
         index stales it, after which its queries raise
         :class:`~repro.errors.IndexStateError` — update, then call
         :meth:`freeze` again.  The compiled view is cached while fresh, so
-        repeated calls between updates are free.  ``backend`` picks the
-        buffer implementation (``"numpy"`` or ``"array"``; default: numpy
-        when installed); ``force=True`` recompiles even when fresh.
+        repeated calls between updates are free; ``force=True``
+        recompiles even when fresh.
         """
         from repro.core.frozen import FrozenTCIndex
         cached = self._frozen_cache
-        if (not force and cached is not None and not cached.is_stale()
-                and (backend is None or cached.backend == backend)):
+        if not force and cached is not None and not cached.is_stale():
             return cached
-        frozen = FrozenTCIndex.from_index(self, backend=backend)
+        frozen = FrozenTCIndex.from_index(self)
         self._frozen_cache = frozen
         return frozen
 

@@ -27,9 +27,6 @@ postorder numbers and writes the pool back into per-node
 ``IntervalSet`` objects; a build that goes straight to a frozen engine
 (:func:`propagate_rank_runs`) feeds it postorder *ranks* and coalesces
 the pool into the frozen CSR rows directly.
-
-Without numpy the kernel degrades gracefully to the sequential pass, so
-``propagation="vectorized"`` is safe to request unconditionally.
 """
 
 from __future__ import annotations
@@ -216,13 +213,9 @@ def propagate_intervals_vectorized(graph: DiGraph, cover: TreeCover,
     """Drop-in replacement for :func:`propagate_intervals`.
 
     Mutates ``labeling.intervals`` in place to the exact sets the
-    sequential pass produces.  Falls back to the sequential pass when
-    numpy is unavailable.
+    sequential pass produces.
     """
     np = _numpy()
-    if np is None:  # numpy-free installs: correct, just not vectorized
-        propagate_intervals(graph, cover, labeling)
-        return
     order = cover.order
     tree_spans = [labeling.tree_interval[node] for node in order]
     pool_lo, pool_hi, start_arr, end_arr = _propagate_pool(

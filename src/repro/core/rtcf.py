@@ -72,8 +72,7 @@ import zlib
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.core.frozen import (FrozenTCIndex, _numpy, _rank_keys_fit_int32,
-                               _resolve_backend)
+from repro.core.frozen import FrozenTCIndex, _numpy, _rank_keys_fit_int32
 from repro.durability.atomic import RealFS, atomic_write_bytes
 from repro.errors import CorruptFileError, NodeNotFoundError, ReproError
 from repro.graph.digraph import Node
@@ -133,8 +132,8 @@ _REQUIRED = (SEC_LABELS, SEC_NUMBERS, SEC_OFFSETS, SEC_LOWS, SEC_HIGHS,
              SEC_LOKEYED, SEC_REVLO, SEC_REVHI, SEC_REVOWNER, SEC_REVMAXHI)
 
 #: Upper bound on the label value the lookup table is worth building
-#: for — must match :meth:`FrozenTCIndex._build_lut` so a file written
-#: from any backend materialises the same view a live freeze would.
+#: for — must match :meth:`FrozenTCIndex._build_lut` so the reference
+#: derivation writes the same table a live freeze holds.
 _LUT_FLOOR = 65536
 
 
@@ -175,10 +174,10 @@ def _pack_ints(values, code: int) -> bytes:
 
 
 def _engine_sections(frozen: FrozenTCIndex, np):
-    """Section payloads taken straight from a numpy-backed engine.
+    """Section payloads taken straight from the engine's buffers.
 
     The frozen engine already holds every derived array an RTCF file
-    stores (:meth:`FrozenTCIndex._materialize_numpy` is the one recipe),
+    stores (:meth:`FrozenTCIndex._materialize` is the one recipe),
     and a mapped view holds them as the file's own pages, so nothing is
     recomputed here.  Each interval section keeps its array's width,
     which is how a re-save of a mapped file reproduces it byte for byte.
@@ -225,9 +224,12 @@ def _engine_sections(frozen: FrozenTCIndex, np):
 
 
 def _derive_sections_stdlib(nodes, numbers, offsets, lows, highs):
-    """Every section payload from plain buffers, for ``array``-backed
-    views: the stdlib twin of the numpy engine's derivation (same
-    bytes)."""
+    """Every section payload from plain buffers, in pure Python.
+
+    The reference the engine-buffer writer is tested against: it
+    follows :meth:`FrozenTCIndex._materialize` step by step, so both
+    produce the same bytes.
+    """
     n = len(nodes)
     code = _interval_dtype_code(n)
     off = [int(value) for value in offsets]
@@ -291,22 +293,11 @@ def _check_integer_numbers(numbers) -> None:
 def rtcf_bytes(frozen: FrozenTCIndex) -> bytes:
     """Serialise a frozen engine into one deterministic RTCF byte string.
 
-    A numpy-backed view (mapped ones included) already holds every
-    section — keyed lows, reverse index, lookup table — so its buffers
-    are written as they are.  An ``array``-backed view goes through
-    :meth:`~FrozenTCIndex.to_buffers` and the stdlib derivation, which
-    follows the engine's recipe exactly, so both backends produce
-    identical files.
+    The engine (a mapped one included) already holds every section —
+    keyed lows, reverse index, lookup table — so its buffers are written
+    as they are.
     """
-    np = _numpy()
-    if frozen.backend == "numpy":
-        sections, flags = _engine_sections(frozen, np)
-    else:
-        buffers = frozen.to_buffers()
-        _check_integer_numbers(buffers["numbers"])
-        sections, flags = _derive_sections_stdlib(
-            buffers["nodes"], buffers["numbers"], buffers["offsets"],
-            buffers["lows"], buffers["highs"])
+    sections, flags = _engine_sections(frozen, _numpy())
     return _assemble(sections, flags, num_nodes=len(frozen),
                      num_intervals=frozen.num_intervals, epoch=frozen.epoch)
 
@@ -488,23 +479,9 @@ def _np_section(np, data, header: _ParsedHeader, section_id: int):
     return np.frombuffer(data, dtype=dtype, count=count, offset=offset)
 
 
-def _list_section(data, header: _ParsedHeader, section_id: int) -> list:
-    from array import array
-    dtype_code, offset, nbytes, _ = header.sections[section_id]
-    typecode = _DTYPE_CODES[dtype_code]
-    values = array(typecode)
-    values.frombytes(bytes(data[offset:offset + nbytes]))
-    if sys.byteorder != "little":  # pragma: no cover - big-endian hosts
-        values.byteswap()
-    return values.tolist()
-
-
-def _labels_from(data, header: _ParsedHeader, *, as_list: bool):
-    dtype_code, offset, nbytes, _ = header.sections[SEC_LABELS]
-    if header.flags & FLAG_INT_LABELS:
-        if as_list:
-            return _list_section(data, header, SEC_LABELS)
-        return None  # mapped path keeps the raw array instead
+def _blob_labels(data, header: _ParsedHeader) -> list:
+    """The label list of a file whose labels are a JSON blob."""
+    _, offset, nbytes, _ = header.sections[SEC_LABELS]
     blob = bytes(data[offset:offset + nbytes])
     try:
         labels = json.loads(blob.decode("utf-8"))
@@ -541,7 +518,6 @@ class MappedFrozenTCIndex(FrozenTCIndex):
                  labels_blob_nodes: Optional[list]) -> None:
         # Deliberately does NOT call FrozenTCIndex.__init__: buffers are
         # adopted from the map instead of copied and re-derived.
-        self._backend = "numpy"
         self._mm = mm
         self._path = path
         self._header = header
@@ -629,53 +605,26 @@ class MappedFrozenTCIndex(FrozenTCIndex):
                 f"intervals={self.num_intervals}, path={self._path!r})")
 
 
-def load_rtcf(path: PathLike, *, backend: Optional[str] = None,
-              verify: bool = False) -> FrozenTCIndex:
-    """Open an RTCF file; zero-copy via ``mmap`` when numpy serves.
+def load_rtcf(path: PathLike, *, verify: bool = False) -> FrozenTCIndex:
+    """Open an RTCF file, zero-copy via ``mmap``.
 
-    With the numpy backend (the default when installed) the returned
-    view adopts the mapped pages directly — O(1) open, shared across
-    processes.  ``backend="array"`` (or a numpy-free interpreter) falls
-    back to reading the core sections and rehydrating through
-    :meth:`FrozenTCIndex.from_buffers` — correct, just not zero-copy.
+    The returned view adopts the mapped pages directly — O(1) open,
+    shared across processes.
 
     ``verify=True`` additionally CRC-checks every section payload
     (reads the whole file); structural validation (magic, version,
     header checksum, section bounds) always runs.
     """
-    resolved = _resolve_backend(backend)
-    handle = open(path, "rb")
-    try:
+    with open(path, "rb") as handle:
         header = _parse_header(path, handle)
-        if resolved == "numpy":
-            np = _numpy()
-            mapped = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
-            if verify:
-                _verify_sections(path, header, mapped)
-            labels = (None if header.flags & FLAG_INT_LABELS
-                      else _labels_from(mapped, header, as_list=True))
-            try:
-                return MappedFrozenTCIndex(
-                    mm=mapped, path=str(path), header=header,
-                    np=np, labels_blob_nodes=labels)
-            except Exception:
-                mapped.close()
-                raise
-        handle.seek(0)
-        data = handle.read()
+        mapped = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
+    try:
         if verify:
-            _verify_sections(path, header, data)
-        nodes = _labels_from(data, header, as_list=True)
-        try:
-            return FrozenTCIndex.from_buffers(
-                nodes=nodes,
-                numbers=_list_section(data, header, SEC_NUMBERS),
-                offsets=_list_section(data, header, SEC_OFFSETS),
-                lows=_list_section(data, header, SEC_LOWS),
-                highs=_list_section(data, header, SEC_HIGHS),
-                backend=resolved, epoch=header.epoch)
-        except ReproError as error:
-            raise CorruptFileError(
-                path, f"sections do not assemble ({error})") from error
-    finally:
-        handle.close()
+            _verify_sections(path, header, mapped)
+        labels = (None if header.flags & FLAG_INT_LABELS
+                  else _blob_labels(mapped, header))
+        return MappedFrozenTCIndex(mm=mapped, path=str(path), header=header,
+                                   np=_numpy(), labels_blob_nodes=labels)
+    except Exception:
+        mapped.close()
+        raise

@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from pathlib import Path
-from typing import Dict, Optional, Union
+from typing import Dict, Union
 
 from repro.core.frozen import FrozenTCIndex
 from repro.core.index import IntervalTCIndex
@@ -78,7 +78,7 @@ def _read_document(path: Union[str, Path]) -> dict:
     return document
 
 
-def _rebuild(path, loader, *args, **kwargs):
+def _rebuild(path, loader, document: dict):
     """Run a ``*_from_dict`` loader, wrapping structural failures.
 
     A document that parses as JSON but does not decode into an index
@@ -87,7 +87,7 @@ def _rebuild(path, loader, *args, **kwargs):
     with their sharper message.
     """
     try:
-        return loader(*args, **kwargs)
+        return loader(document)
     except ReproError:
         raise
     except (KeyError, TypeError, ValueError, AttributeError,
@@ -206,13 +206,11 @@ def frozen_to_dict(frozen: FrozenTCIndex) -> dict:
     }
 
 
-def frozen_from_dict(document: dict, *,
-                     backend: Optional[str] = None) -> FrozenTCIndex:
+def frozen_from_dict(document: dict) -> FrozenTCIndex:
     """Rehydrate a frozen engine from :func:`frozen_to_dict` output.
 
     The CSR buffers are adopted as-is (no closure or tree-cover rebuild);
-    only the derived reverse interval index is re-sorted.  ``backend``
-    picks the buffer implementation, defaulting to numpy when installed.
+    only the derived reverse interval index is re-sorted.
     """
     if document.get("kind") != FROZEN_KIND:
         raise ReproError(
@@ -227,7 +225,6 @@ def frozen_from_dict(document: dict, *,
         offsets=document["offsets"],
         lows=document["lows"],
         highs=document["highs"],
-        backend=backend,
         epoch=document.get("epoch", 0),
     )
 
@@ -252,13 +249,11 @@ def save_frozen_index(frozen: FrozenTCIndex, path: Union[str, Path], *,
             f"unknown frozen format {format!r}; choose 'json' or 'rtcf'")
 
 
-def _load_frozen_index(path: Union[str, Path], *,
-                       backend: Optional[str] = None) -> FrozenTCIndex:
+def _load_frozen_index(path: Union[str, Path]) -> FrozenTCIndex:
     from repro.core.rtcf import load_rtcf, sniff_rtcf
     if sniff_rtcf(path):
-        return load_rtcf(path, backend=backend)
-    return _rebuild(path, frozen_from_dict, _read_document(path),
-                    backend=backend)
+        return load_rtcf(path)
+    return _rebuild(path, frozen_from_dict, _read_document(path))
 
 
 # ----------------------------------------------------------------------
@@ -289,8 +284,7 @@ def hybrid_to_dict(hybrid: "HybridTCIndex") -> dict:
     }
 
 
-def hybrid_from_dict(document: dict, *,
-                     backend: Optional[str] = None) -> "HybridTCIndex":
+def hybrid_from_dict(document: dict) -> "HybridTCIndex":
     """Rehydrate a hybrid engine from :func:`hybrid_to_dict` output."""
     from repro.core.hybrid import HybridTCIndex
     if document.get("kind") != HYBRID_KIND:
@@ -301,7 +295,7 @@ def hybrid_from_dict(document: dict, *,
     if version != HYBRID_FORMAT_VERSION:
         raise ReproError(f"unsupported hybrid document version {version!r}")
     index = index_from_dict(document["index"])
-    base = frozen_from_dict(document["base"], backend=backend)
+    base = frozen_from_dict(document["base"])
     delta = document["delta"]
     settings = document.get("settings", {})
     return HybridTCIndex.restore(
@@ -311,7 +305,6 @@ def hybrid_from_dict(document: dict, *,
         delta_nodes=delta["nodes"],
         delta_cost=delta["cost"],
         tainted=delta["tainted"],
-        backend=backend,
         **settings,
     )
 
@@ -322,10 +315,8 @@ def save_hybrid_index(hybrid: "HybridTCIndex",
     atomic_write_text(path, json.dumps(hybrid_to_dict(hybrid)))
 
 
-def _load_hybrid_index(path: Union[str, Path], *,
-                       backend: Optional[str] = None) -> "HybridTCIndex":
-    return _rebuild(path, hybrid_from_dict, _read_document(path),
-                    backend=backend)
+def _load_hybrid_index(path: Union[str, Path]) -> "HybridTCIndex":
+    return _rebuild(path, hybrid_from_dict, _read_document(path))
 
 
 # ----------------------------------------------------------------------
@@ -411,7 +402,7 @@ def save_chain_index(index: "ChainCoverIndex",
     atomic_write_text(path, json.dumps(chain_to_dict(index)))
 
 
-def _load_any(path: Union[str, Path], *, backend: Optional[str] = None):
+def _load_any(path: Union[str, Path]):
     """Load whichever engine kind ``path`` holds (magic sniff + ``kind``).
 
     The dispatch behind :func:`repro.open_index`: binary RTCF containers
@@ -421,13 +412,13 @@ def _load_any(path: Union[str, Path], *, backend: Optional[str] = None):
     """
     from repro.core.rtcf import load_rtcf, sniff_rtcf
     if sniff_rtcf(path):
-        return load_rtcf(path, backend=backend)
+        return load_rtcf(path)
     document = _read_document(path)
     kind = document.get("kind")
     if kind == FROZEN_KIND:
-        return _rebuild(path, frozen_from_dict, document, backend=backend)
+        return _rebuild(path, frozen_from_dict, document)
     if kind == HYBRID_KIND:
-        return _rebuild(path, hybrid_from_dict, document, backend=backend)
+        return _rebuild(path, hybrid_from_dict, document)
     if kind == HOPLABEL_KIND:
         return _rebuild(path, hoplabel_from_dict, document)
     if kind == CHAIN_KIND:

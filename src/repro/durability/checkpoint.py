@@ -153,7 +153,7 @@ def write_checkpoint(directory, engine, wal_seq: int, *,
     return path
 
 
-def load_checkpoint(path, *, backend: Optional[str] = None):
+def load_checkpoint(path):
     """Validate and rebuild one generation.
 
     Returns ``(engine, wal_seq, engine_kind)``.  Every failure mode —
@@ -187,7 +187,7 @@ def load_checkpoint(path, *, backend: Optional[str] = None):
     kind = document.get("engine")
     try:
         if kind == "hybrid":
-            engine = hybrid_from_dict(payload, backend=backend)
+            engine = hybrid_from_dict(payload)
         elif kind == "interval":
             engine = index_from_dict(payload)
         else:

@@ -111,22 +111,19 @@ def apply_op(engine, op: list) -> None:
         raise RecoveryError(f"unknown WAL operation kind {kind!r}")
 
 
-def _empty_engine(kind: str, *, gap: int, numbering: str,
-                  backend: Optional[str]):
+def _empty_engine(kind: str, *, gap: int, numbering: str):
     from repro.core.hybrid import HybridTCIndex
     from repro.core.index import IntervalTCIndex
     from repro.graph.digraph import DiGraph
     if kind == "hybrid":
-        return HybridTCIndex.build(DiGraph(), gap=gap, numbering=numbering,
-                                   backend=backend)
+        return HybridTCIndex.build(DiGraph(), gap=gap, numbering=numbering)
     if kind == "interval":
         return IntervalTCIndex.build(DiGraph(), gap=gap, numbering=numbering)
     raise RecoveryError(f"unknown engine kind {kind!r}")
 
 
 def recover(directory, *, engine_kind: str = "interval", gap: int,
-            numbering: str = "integer",
-            backend: Optional[str] = None):
+            numbering: str = "integer"):
     """Reconstruct the newest consistent engine state in ``directory``.
 
     Returns ``(engine, report)``.  ``engine_kind``/``gap``/``numbering``
@@ -145,8 +142,7 @@ def recover(directory, *, engine_kind: str = "interval", gap: int,
     checkpoint_seq = 0
     for seq, path in reversed(_checkpoint.list_checkpoints(directory)):
         try:
-            engine, checkpoint_seq, kind = _checkpoint.load_checkpoint(
-                path, backend=backend)
+            engine, checkpoint_seq, kind = _checkpoint.load_checkpoint(path)
         except CorruptFileError as error:
             report.checkpoints_skipped.append((path, error.detail))
             continue
@@ -167,8 +163,7 @@ def recover(directory, *, engine_kind: str = "interval", gap: int,
                 f"log starts at sequence {segments[0][0]}, not 1 — "
                 f"{len(report.checkpoints_skipped)} checkpoint(s) were "
                 f"skipped as corrupt")
-        engine = _empty_engine(engine_kind, gap=gap, numbering=numbering,
-                               backend=backend)
+        engine = _empty_engine(engine_kind, gap=gap, numbering=numbering)
         report.engine = engine_kind
         report.started_empty = True
 

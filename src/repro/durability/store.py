@@ -92,7 +92,7 @@ class DurableTCIndex:
     def open(cls, directory, *, engine: str = "interval",
              gap: int = DEFAULT_GAP, numbering: str = "integer",
              fsync_every: int = 1, keep_checkpoints: int = 2,
-             backend: Optional[str] = None, create: bool = True,
+             create: bool = True,
              fs: Optional[RealFS] = None, metrics=None,
              tracer=None) -> "DurableTCIndex":
         """Open a store directory, creating or recovering as needed.
@@ -115,7 +115,6 @@ class DurableTCIndex:
         self._directory = str(directory)
         self._fsync_every = fsync_every
         self._keep_checkpoints = keep_checkpoints
-        self._backend = backend
         self._writer: Optional[_wal.WalWriter] = None
         self._closed = False
         self._obs = None
@@ -156,8 +155,7 @@ class DurableTCIndex:
         config = self._config
         if config["engine"] == "hybrid":
             return HybridTCIndex.build(DiGraph(), gap=config["gap"],
-                                       numbering=config["numbering"],
-                                       backend=self._backend)
+                                       numbering=config["numbering"])
         return IntervalTCIndex.build(DiGraph(), gap=config["gap"],
                                      numbering=config["numbering"])
 
@@ -180,8 +178,7 @@ class DurableTCIndex:
         started = time.perf_counter_ns()
         self._engine, report = recover(
             self._directory, engine_kind=config["engine"],
-            gap=config["gap"], numbering=config["numbering"],
-            backend=self._backend)
+            gap=config["gap"], numbering=config["numbering"])
         self._recovery_ns = time.perf_counter_ns() - started
         self._report = report
         next_seq = report.last_seq + 1

@@ -50,7 +50,7 @@ import os
 from pathlib import Path
 from typing import Optional
 
-from repro.core.frozen import FrozenTCIndex, _numpy
+from repro.core.frozen import FrozenTCIndex
 from repro.core.hybrid import HybridTCIndex
 from repro.core.index import DEFAULT_GAP, IntervalTCIndex
 from repro.errors import ReproError
@@ -74,7 +74,7 @@ _SNAPSHOT_PAYLOAD = {
 }
 
 
-def _build_interval(graph, *, backend, gap, **kwargs):
+def _build_interval(graph, *, gap, **kwargs):
     return IntervalTCIndex.build(graph, gap=gap, **kwargs)
 
 
@@ -86,24 +86,21 @@ _DIRECT_FROZEN_OPTIONS = frozenset(
     {"policy", "merge", "merge_ordering", "propagation", "rng"})
 
 
-def _build_frozen(graph, *, backend, gap, **kwargs):
+def _build_frozen(graph, *, gap, **kwargs):
     if (kwargs.get("propagation") == "vectorized"
-            and _DIRECT_FROZEN_OPTIONS.issuperset(kwargs)
-            and _numpy() is not None):
+            and _DIRECT_FROZEN_OPTIONS.issuperset(kwargs)):
         kwargs.pop("propagation")
         kwargs.pop("merge", None)
-        return FrozenTCIndex.from_graph(graph, gap=gap, backend=backend,
-                                        **kwargs)
-    return IntervalTCIndex.build(graph, gap=gap, **kwargs).freeze(
-        backend=backend)
+        return FrozenTCIndex.from_graph(graph, gap=gap, **kwargs)
+    return IntervalTCIndex.build(graph, gap=gap, **kwargs).freeze()
 
 
-def _build_hybrid(graph, *, backend, gap, **kwargs):
+def _build_hybrid(graph, *, gap, **kwargs):
     return HybridTCIndex.from_index(
-        IntervalTCIndex.build(graph, gap=gap, **kwargs), backend=backend)
+        IntervalTCIndex.build(graph, gap=gap, **kwargs))
 
 
-def _build_hoplabel(graph, *, backend, gap, **kwargs):
+def _build_hoplabel(graph, *, gap, **kwargs):
     if kwargs:
         raise ReproError(
             f"engine='hoplabel' accepts no build options; got "
@@ -112,7 +109,7 @@ def _build_hoplabel(graph, *, backend, gap, **kwargs):
     return HopLabelIndex.build(graph)
 
 
-def _build_chain(graph, *, backend, gap, **kwargs):
+def _build_chain(graph, *, gap, **kwargs):
     from repro.core.chain_cover import ChainCoverIndex
     return ChainCoverIndex.build(graph, **kwargs)
 
@@ -153,15 +150,13 @@ def _choose_engine(graph, kwargs) -> str:
     return recommend_engine(graph_stats(graph))
 
 
-def _build_from_graph(graph, engine: str, *, backend, gap, **kwargs):
+def _build_from_graph(graph, engine: str, *, gap, **kwargs):
     if engine == "auto":
         engine = _choose_engine(graph, kwargs)
-    return GRAPH_ENGINE_BUILDERS[engine](
-        graph, backend=backend, gap=gap, **kwargs)
+    return GRAPH_ENGINE_BUILDERS[engine](graph, gap=gap, **kwargs)
 
 
-def _coerce(loaded, engine: str, *, backend: Optional[str],
-            origin: str):
+def _coerce(loaded, engine: str, *, origin: str):
     """Turn whatever was loaded into the requested engine.
 
     Dispatch is on :meth:`TCEngine.capabilities`: an engine whose
@@ -185,11 +180,10 @@ def _coerce(loaded, engine: str, *, backend: Optional[str],
     if engine == "interval":
         return index
     if engine == "frozen":
-        return index.freeze(backend=backend)
+        return index.freeze()
     if engine == "hybrid":
-        return HybridTCIndex.from_index(index, backend=backend)
-    return _build_from_graph(index.graph, engine, backend=backend,
-                             gap=DEFAULT_GAP)
+        return HybridTCIndex.from_index(index)
+    return _build_from_graph(index.graph, engine, gap=DEFAULT_GAP)
 
 
 def _is_store_directory(path: str) -> bool:
@@ -199,7 +193,7 @@ def _is_store_directory(path: str) -> bool:
 
 def open_index(source, *, engine: str = "auto",
                durable: Optional[bool] = None, metrics=None, tracer=None,
-               backend: Optional[str] = None, gap: int = DEFAULT_GAP,
+               gap: int = DEFAULT_GAP,
                **kwargs):
     """Open, load, or build a transitive-closure query engine.
 
@@ -248,17 +242,16 @@ def open_index(source, *, engine: str = "auto",
             kwargs.setdefault("create", not os.path.exists(
                 os.path.join(path, _STORE_CONFIG)))
             return DurableTCIndex.open(
-                path, engine=store_engine, gap=gap, backend=backend,
+                path, engine=store_engine, gap=gap,
                 metrics=metrics, tracer=tracer, **kwargs)
         from repro.core.rtcf import sniff_rtcf
         if path.endswith((".json", ".rtcf")) or sniff_rtcf(path):
             from repro.core.serialize import _load_any
-            loaded = _load_any(path, backend=backend)
-            result = _coerce(loaded, engine, backend=backend, origin=path)
+            result = _coerce(_load_any(path), engine, origin=path)
         else:
             from repro.graph.io import load_edge_list
             result = _build_from_graph(load_edge_list(path), engine,
-                                       backend=backend, gap=gap, **kwargs)
+                                       gap=gap, **kwargs)
         return attach(result, metrics=metrics, tracer=tracer)
 
     if durable:
@@ -267,13 +260,11 @@ def open_index(source, *, engine: str = "auto",
             f"{type(source).__name__}")
 
     if isinstance(source, DiGraph):
-        result = _build_from_graph(source, engine, backend=backend,
-                                   gap=gap, **kwargs)
+        result = _build_from_graph(source, engine, gap=gap, **kwargs)
         return attach(result, metrics=metrics, tracer=tracer)
 
     if hasattr(source, "capabilities") and hasattr(source, "reachable"):
-        result = _coerce(source, engine, backend=backend,
-                         origin=type(source).__name__)
+        result = _coerce(source, engine, origin=type(source).__name__)
         return attach(result, metrics=metrics, tracer=tracer)
 
     raise ReproError(

@@ -35,6 +35,7 @@ Usage::
 
 from __future__ import annotations
 
+import ast
 import asyncio
 import itertools
 import random
@@ -145,12 +146,22 @@ _CODE_EXCEPTIONS = {
 }
 
 
-def _node_from(message: str) -> str:
-    # "node 'x' is not in the graph" -> best-effort extraction; the
-    # exact node value survives only for string nodes, which is all the
-    # wire protocol can carry anyway.
-    if "'" in message:
-        return message.split("'")[1]
+def _node_from(message: str) -> Any:
+    """The node of a not-found message, or the whole message.
+
+    The server sends ``str(NodeNotFoundError(node))``, which is the
+    repr of ``node <repr> is not in the graph`` (a ``KeyError`` quotes
+    its message).  Both reprs are read back as literals, so int and
+    float ids (JSON carries both) survive as well as strings.
+    """
+    prefix, suffix = "node ", " is not in the graph"
+    try:
+        text = ast.literal_eval(message)
+        if (isinstance(text, str) and text.startswith(prefix)
+                and text.endswith(suffix)):
+            return ast.literal_eval(text[len(prefix):-len(suffix)])
+    except (ValueError, TypeError, SyntaxError, MemoryError, RecursionError):
+        pass
     return message
 
 

@@ -18,6 +18,7 @@ from repro.core.frozen import FrozenTCIndex
 from repro.core.hybrid import HybridTCIndex
 from repro.core.index import IntervalTCIndex
 from repro.durability.store import DurableTCIndex
+from repro.errors import NodeNotFoundError
 from repro.graph.digraph import DiGraph
 from repro.obs import MetricsRegistry, QueryTracer, attach
 
@@ -87,8 +88,13 @@ def make_engine(name, graph, tmp_path, *, metrics=None, tracer=None):
 
 
 @pytest.fixture(params=ENGINE_NAMES)
-def engine(request, tmp_path):
-    built = make_engine(request.param, paper_graph(), tmp_path)
+def engine_name(request):
+    return request.param
+
+
+@pytest.fixture
+def engine(engine_name, tmp_path):
+    built = make_engine(engine_name, paper_graph(), tmp_path)
     yield built
     if hasattr(built, "close"):
         built.close()
@@ -150,7 +156,7 @@ class TestSemantics:
         assert (sorted(engine.iter_successors("b"), key=str)
                 == sorted(engine.successors("b"), key=str))
 
-    def test_batch_equals_singles(self, engine):
+    def test_batch_equals_singles(self, engine, engine_name, tmp_path):
         nodes = sorted(engine.nodes(), key=str)
         pairs = [(s, d) for s in nodes for d in nodes]
         assert engine.reachable_many(pairs) == [
@@ -159,6 +165,29 @@ class TestSemantics:
             engine.successors(n) for n in nodes]
         assert engine.predecessors_many(nodes, reflexive=False) == [
             engine.predecessors(n, reflexive=False) for n in nodes]
+
+        # Labels that numpy would read as ints (1.5 -> 1, "1" -> 1) must
+        # not alias node 1 of an int-labelled graph, nor may an int past
+        # int64 overflow: a batch holding one raises, exactly as the
+        # single call does.
+        ints = tmp_path / "ints"
+        ints.mkdir()
+        int_engine = make_engine(engine_name, DiGraph(
+            arcs=[(0, 1), (1, 2), (1, 3), (0, 4), (4, 3), (2, 5)]), ints)
+        try:
+            int_pairs = [(s, d) for s in range(6) for d in range(6)]
+            assert int_engine.reachable_many(int_pairs) == [
+                int_engine.reachable(s, d) for s, d in int_pairs]
+            foreign_pairs = [(1.5, 2), ("1", 3), (0, 2.5), (4, "3"),
+                             (2**64, 1)]
+            for foreign in foreign_pairs:
+                with pytest.raises(NodeNotFoundError):
+                    int_engine.reachable(*foreign)
+                with pytest.raises(NodeNotFoundError):
+                    int_engine.reachable_many([(0, 1), foreign])
+        finally:
+            if hasattr(int_engine, "close"):
+                int_engine.close()
 
     def test_set_semijoins(self, engine):
         assert engine.reachable_from_set(["b", "e"]) == (

@@ -10,7 +10,7 @@ import pytest
 from repro.core import frozen as frozen_module
 from repro.core import queries
 from repro.core.batch import apply_diff
-from repro.core.frozen import BACKENDS, FrozenTCIndex, default_backend
+from repro.core.frozen import FrozenTCIndex
 from repro.core.index import DEFAULT_GAP, IntervalTCIndex
 from repro.core.rtcf import load_rtcf, rtcf_bytes, save_rtcf
 from repro.core.updates import remove_node
@@ -28,23 +28,6 @@ from repro.graph.digraph import DiGraph
 from repro.graph.generators import random_dag
 from repro.graph.io import load_edge_list
 
-try:
-    import numpy  # noqa: F401 - availability probe only
-    HAVE_NUMPY = True
-except ImportError:
-    HAVE_NUMPY = False
-
-@pytest.fixture(params=[
-    pytest.param("array", id="array"),
-    pytest.param("numpy", id="numpy",
-                 marks=pytest.mark.skipif(not HAVE_NUMPY,
-                                          reason="numpy not installed")),
-])
-def backend(request) -> str:
-    """Both buffer backends (numpy skipped when absent)."""
-    return request.param
-
-
 @pytest.fixture
 def paper_index(paper_dag) -> IntervalTCIndex:
     return IntervalTCIndex.build(paper_dag)
@@ -53,8 +36,8 @@ def paper_index(paper_dag) -> IntervalTCIndex:
 # ----------------------------------------------------------------------
 # parity with the mutable engine
 # ----------------------------------------------------------------------
-def test_matches_mutable_on_fixture(paper_index, backend):
-    frozen = paper_index.freeze(backend=backend)
+def test_matches_mutable_on_fixture(paper_index):
+    frozen = paper_index.freeze()
     for u in paper_index.nodes():
         assert frozen.successors(u) == paper_index.successors(u)
         assert frozen.successors(u, reflexive=False) == \
@@ -68,27 +51,27 @@ def test_matches_mutable_on_fixture(paper_index, backend):
             assert frozen.reachable(u, v) == paper_index.reachable(u, v)
 
 
-def test_matches_mutable_on_random_dags(backend):
+def test_matches_mutable_on_random_dags():
     for seed in range(4):
         graph = random_dag(80, 2.0, seed)
         index = IntervalTCIndex.build(graph, gap=(1 if seed % 2 else 32))
-        frozen = index.freeze(backend=backend)
+        frozen = index.freeze()
         for node in graph.nodes():
             assert frozen.successors(node) == index.successors(node)
             assert frozen.predecessors(node) == index.predecessors(node)
 
 
-def test_fractional_numbering_freezes(backend):
+def test_fractional_numbering_freezes():
     index = IntervalTCIndex.build(DiGraph([("a", "b"), ("b", "c")]),
                                   numbering="fractional", gap=4)
     index.add_node("d", parents=["a"])
-    frozen = index.freeze(backend=backend)
+    frozen = index.freeze()
     for node in index.nodes():
         assert frozen.successors(node) == index.successors(node)
 
 
-def test_membership_and_interning(paper_index, backend):
-    frozen = paper_index.freeze(backend=backend)
+def test_membership_and_interning(paper_index):
+    frozen = paper_index.freeze()
     assert len(frozen) == len(paper_index)
     assert "a" in frozen and "nope" not in frozen
     assert set(frozen.nodes()) == set(paper_index.nodes())
@@ -100,8 +83,8 @@ def test_membership_and_interning(paper_index, backend):
         frozen.predecessors("nope")
 
 
-def test_empty_index(backend):
-    frozen = IntervalTCIndex.build(DiGraph()).freeze(backend=backend)
+def test_empty_index():
+    frozen = IntervalTCIndex.build(DiGraph()).freeze()
     assert len(frozen) == 0
     assert frozen.reachable_many([]) == []
     assert frozen.reachable_from_set([]) == set()
@@ -111,8 +94,8 @@ def test_empty_index(backend):
 # ----------------------------------------------------------------------
 # batch and set-semijoin APIs
 # ----------------------------------------------------------------------
-def test_reachable_many(paper_index, backend):
-    frozen = paper_index.freeze(backend=backend)
+def test_reachable_many(paper_index):
+    frozen = paper_index.freeze()
     nodes = list(paper_index.nodes())
     pairs = [(u, v) for u in nodes for v in nodes]
     assert frozen.reachable_many(pairs) == \
@@ -121,17 +104,17 @@ def test_reachable_many(paper_index, backend):
         [paper_index.reachable(u, v) for u, v in pairs[:5]]
 
 
-def test_reachable_many_unknown_node(paper_index, backend):
-    frozen = paper_index.freeze(backend=backend)
+def test_reachable_many_unknown_node(paper_index):
+    frozen = paper_index.freeze()
     with pytest.raises(NodeNotFoundError):
         frozen.reachable_many([("a", "b"), ("a", "nope")])
 
 
-def test_reachable_many_integer_labels(backend):
+def test_reachable_many_integer_labels():
     """Integer labels exercise the numpy LUT translation path."""
     graph = random_dag(120, 2.0, 11)
     index = IntervalTCIndex.build(graph)
-    frozen = index.freeze(backend=backend)
+    frozen = index.freeze()
     nodes = list(graph.nodes())
     pairs = [(u, v) for u in nodes[:25] for v in nodes[:25]]
     assert frozen.reachable_many(pairs) == \
@@ -140,8 +123,8 @@ def test_reachable_many_integer_labels(backend):
         frozen.reachable_many([(nodes[0], 10 ** 9)])
 
 
-def test_successors_predecessors_many(paper_index, backend):
-    frozen = paper_index.freeze(backend=backend)
+def test_successors_predecessors_many(paper_index):
+    frozen = paper_index.freeze()
     nodes = list(paper_index.nodes())
     assert frozen.successors_many(nodes) == \
         [paper_index.successors(node) for node in nodes]
@@ -149,8 +132,8 @@ def test_successors_predecessors_many(paper_index, backend):
         [paper_index.predecessors(node, reflexive=False) for node in nodes]
 
 
-def test_set_semijoins(paper_index, backend):
-    frozen = paper_index.freeze(backend=backend)
+def test_set_semijoins(paper_index):
+    frozen = paper_index.freeze()
     assert frozen.reachable_from_set(["b", "c"]) == \
         paper_index.successors("b") | paper_index.successors("c")
     assert frozen.reaching_set(["h"]) == paper_index.predecessors("h")
@@ -161,8 +144,8 @@ def test_set_semijoins(paper_index, backend):
     assert not frozen.any_reachable(["a"], [])
 
 
-def test_are_disjoint(paper_index, backend):
-    frozen = paper_index.freeze(backend=backend)
+def test_are_disjoint(paper_index):
+    frozen = paper_index.freeze()
     for u in paper_index.nodes():
         for v in paper_index.nodes():
             expected = not (paper_index.successors(u)
@@ -214,29 +197,14 @@ def test_freeze_caches_while_fresh(paper_index):
     assert paper_index.freeze() is forced
 
 
-def test_freeze_backend_mismatch_recompiles(paper_index):
-    arr = paper_index.freeze(backend="array")
-    assert paper_index.freeze(backend="array") is arr
-    other = paper_index.freeze(backend=default_backend())
-    if default_backend() != "array":
-        assert other is not arr
-
-
-def test_unknown_backend_rejected(paper_index):
-    with pytest.raises(ReproError):
-        paper_index.freeze(backend="arrow")
-    assert "arrow" not in BACKENDS
-
-
 # ----------------------------------------------------------------------
 # persistence
 # ----------------------------------------------------------------------
-def test_frozen_round_trip(paper_index, backend, tmp_path):
-    frozen = paper_index.freeze(backend=backend)
+def test_frozen_round_trip(paper_index, tmp_path):
+    frozen = paper_index.freeze()
     path = tmp_path / "frozen.json"
     save_frozen_index(frozen, path)
-    loaded = open_index(path, engine="frozen", backend=backend)
-    assert loaded.backend == backend
+    loaded = open_index(path, engine="frozen")
     for u in paper_index.nodes():
         assert loaded.successors(u) == paper_index.successors(u)
         assert loaded.predecessors(u) == paper_index.predecessors(u)
@@ -285,15 +253,14 @@ def test_inconsistent_buffers_rejected():
                                    offsets=[0, 2], lows=[0], highs=[0, 0, 0])
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
-def test_numpy_buffers_accepted(backend):
+def test_numpy_buffers_accepted():
     """Buffers handed over as numpy arrays (as a loader might) must not
     trip a truth-value test on the offsets array."""
     import numpy
     frozen = FrozenTCIndex.from_buffers(
         nodes=["a", "b", "c"], numbers=[1, 2, 3],
         offsets=numpy.array([0, 1, 2, 3]), lows=numpy.array([0, 0, 0]),
-        highs=numpy.array([0, 1, 2]), backend=backend)
+        highs=numpy.array([0, 1, 2]))
     assert frozen.successors("c") == {"a", "b", "c"}
     assert frozen.predecessors("a") == {"a", "b", "c"}
     buffers = frozen.to_buffers()
@@ -304,7 +271,7 @@ def test_numpy_buffers_accepted(backend):
     with pytest.raises(ReproError):
         FrozenTCIndex.from_buffers(
             nodes=["a"], numbers=[1], offsets=numpy.array([0, 2]),
-            lows=numpy.array([0]), highs=numpy.array([0]), backend=backend)
+            lows=numpy.array([0]), highs=numpy.array([0]))
 
 
 # ----------------------------------------------------------------------
@@ -338,7 +305,6 @@ def assert_kernel_matches_reference(index: IntervalTCIndex) -> None:
         assert kernel.successors(node) == index.successors(node)
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="the kernel needs numpy")
 class TestFreezeKernel:
     def test_integer_numbering_takes_the_kernel(self, paper_index,
                                                 monkeypatch):
@@ -438,7 +404,6 @@ def direct_graphs():
     yield "isolated", DiGraph(arcs=[(1, 2), (2, 3)], nodes=[7, 0, 9])
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="the direct route needs numpy")
 class TestDirectBuild:
     @pytest.mark.parametrize("gap", [1, DEFAULT_GAP, 1024])
     @pytest.mark.parametrize("policy", ["alg1", "first_parent"])
@@ -492,16 +457,10 @@ class TestDirectBuild:
             open_index(graph, engine="frozen", propagation="vectorized",
                        numbering="fractional", gap=1)
 
-    def test_python_propagation_and_numpy_free_take_the_staged_route(
-            self, monkeypatch):
+    def test_python_propagation_takes_the_staged_route(self):
         graph = random_dag(40, 2.0, random.Random(6))
         frozen = open_index(graph, engine="frozen", propagation="python")
         assert isinstance(frozen._source, IntervalTCIndex)
-        monkeypatch.setattr(frozen_module, "_NUMPY_PROBED", True)
-        monkeypatch.setattr(frozen_module, "_np", None)
-        frozen = open_index(graph, engine="frozen", propagation="vectorized")
-        assert isinstance(frozen._source, IntervalTCIndex)
-        assert frozen.backend == "array"
 
     def test_errors_match_the_staged_route(self, monkeypatch):
         with pytest.raises(CycleError):
@@ -528,7 +487,6 @@ class TestDirectBuild:
             graph, policy="first_parent", propagation="vectorized")
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="the label table needs numpy")
 class TestLabelTable:
     """``_build_lut`` builds the int-label table up to label 65,536."""
 
@@ -586,11 +544,10 @@ def test_queries_accept_frozen_directly(paper_index):
         queries.least_common_ancestors(paper_index, ["e", "f"])
 
 
-def test_stats_and_nbytes(paper_index, backend):
-    frozen = paper_index.freeze(backend=backend)
+def test_stats_and_nbytes(paper_index):
+    frozen = paper_index.freeze()
     report = frozen.stats()
     assert report["num_nodes"] == len(paper_index)
-    assert report["backend"] == backend
     assert report["nbytes"] == frozen.nbytes > 0
     assert report["stale"] is False
     assert frozen.num_intervals <= paper_index.num_intervals

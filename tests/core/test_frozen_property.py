@@ -1,8 +1,7 @@
 """Property tests: the frozen engine always equals the mutable engine.
 
 Same random-DAG strategy as ``test_index_property.py``; every example
-builds the mutable index, freezes it (both backends where available),
-and checks the full query surface, including an update → re-freeze
+builds the mutable index, freezes it, and checks the full query surface, including an update → re-freeze
 cycle and the staleness guard.
 """
 
@@ -11,16 +10,9 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.frozen import default_backend
 from repro.core.index import IntervalTCIndex
 from repro.errors import IndexStateError
 from repro.graph.digraph import DiGraph
-
-try:
-    import numpy  # noqa: F401 - availability probe only
-    ALL_BACKENDS = ("array", "numpy")
-except ImportError:
-    ALL_BACKENDS = ("array",)
 
 
 @st.composite
@@ -41,11 +33,10 @@ def small_dags(draw):
     return graph
 
 
-@given(small_dags(), st.sampled_from([1, 3, 32]),
-       st.sampled_from(ALL_BACKENDS))
-def test_frozen_equals_mutable(graph, gap, backend):
+@given(small_dags(), st.sampled_from([1, 3, 32]))
+def test_frozen_equals_mutable(graph, gap):
     index = IntervalTCIndex.build(graph, gap=gap)
-    frozen = index.freeze(backend=backend)
+    frozen = index.freeze()
     nodes = list(graph.nodes())
     for u in nodes:
         assert frozen.successors(u) == index.successors(u)
@@ -80,7 +71,7 @@ def test_update_then_refreeze(graph, seed):
         frozen.reachable(anchor, anchor)
     with pytest.raises(IndexStateError):
         frozen.successors(anchor)
-    refrozen = index.freeze(backend=default_backend())
+    refrozen = index.freeze()
     assert refrozen.reachable(anchor, "fresh")
     for u in index.nodes():
         assert refrozen.successors(u) == index.successors(u)

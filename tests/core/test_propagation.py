@@ -12,16 +12,17 @@ import random
 
 import pytest
 
-from repro.core.frozen import default_backend
 from repro.core.index import IntervalTCIndex
 from repro.core.propagation import (PROPAGATION_MODES,
                                     propagate_intervals_vectorized,
                                     run_propagation)
+from repro.core.rtcf import rtcf_bytes
 from repro.errors import ReproError
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import random_dag, random_dag_local
+from repro.testing.oracle import SetClosureOracle, compare_engine
 
-HAVE_NUMPY = default_backend() == "numpy"
+from .test_rtcf import reference_bytes
 
 MODES = [mode for mode in PROPAGATION_MODES if mode != "python"]
 
@@ -47,7 +48,6 @@ def graphs():
     yield "dense", random_dag(45, 6.0, rng)
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="vectorized kernel needs numpy")
 class TestParity:
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("gap", [1, 4, 32])
@@ -88,7 +88,6 @@ class TestParity:
         assert python_bytes == vector_bytes
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="vectorized kernel needs numpy")
 class TestSweepKeyOverflow:
     """Gaps so wide that the level sweep's int64 keys overflow: a
     one-node level falls back to ``lexsort`` and a wider level to the
@@ -139,6 +138,43 @@ class TestSweepKeyOverflow:
             IntervalTCIndex.build(graph, gap=self.GAP).freeze())
 
 
+class TestRenumberAfterVectorizedBuild:
+    """Gap exhaustion after a vectorized build: inserts at gap 2 run out
+    of numbers and force a renumbering pass, after which the index must
+    still match the oracle, a python-built twin fed the same ops, and
+    the reference freeze."""
+
+    def test_gap_exhaustion_then_renumbering(self):
+        rng = random.Random(2027)
+        graph = random_dag(50, 2.0, rng)
+        # Each index adopts the graph it is built from: give each a copy.
+        vectorized = IntervalTCIndex.build(graph.copy(), gap=2,
+                                           propagation="vectorized")
+        python = IntervalTCIndex.build(graph.copy(), gap=2,
+                                       propagation="python")
+        oracle = SetClosureOracle(arcs=graph.arcs(), nodes=graph.nodes())
+        parents_pool = sorted(graph.nodes())
+        step = 0
+        # Keep inserting a few nodes past the first renumbering, so the
+        # renumbered numbering takes inserts too.
+        while vectorized.renumber_count == 0 or step % 8:
+            assert step < 400, "gap 2 never ran out"
+            node = f"new{step}"
+            parents = rng.sample(parents_pool, 2)
+            for index in (vectorized, python):
+                index.add_node(node, parents=parents)
+            for parent in parents:
+                oracle.add_arc(parent, node)
+            step += 1
+        assert python.renumber_count == vectorized.renumber_count
+        assert interval_table(vectorized) == interval_table(python)
+        compare_engine("vectorized", vectorized, oracle, predecessors=True)
+        frozen = vectorized.freeze()
+        compare_engine("frozen", frozen, oracle, predecessors=True)
+        assert rtcf_bytes(frozen) == reference_bytes(vectorized)
+        assert rtcf_bytes(frozen) == rtcf_bytes(python.freeze())
+
+
 class TestDispatch:
     def test_unknown_mode_rejected(self):
         graph = DiGraph(arcs=[("a", "b")])
@@ -157,18 +193,6 @@ class TestDispatch:
         built = IntervalTCIndex.build(graph)
         explicit = IntervalTCIndex.build(graph, propagation="python")
         assert interval_table(built) == interval_table(explicit)
-
-    def test_vectorized_falls_back_without_numpy(self, monkeypatch):
-        """A numpy-free interpreter still serves the mode: the kernel
-        degrades to the sequential pass instead of crashing."""
-        import repro.core.frozen as frozen_module
-        import repro.core.propagation as propagation_module
-        monkeypatch.setattr(frozen_module, "_NUMPY_PROBED", True)
-        monkeypatch.setattr(frozen_module, "_np", None)
-        assert propagation_module._numpy() is None
-        graph = DiGraph(arcs=[("a", "b"), ("b", "c"), ("a", "c")])
-        built = IntervalTCIndex.build(graph, propagation="vectorized")
-        assert built.successors("a") == {"a", "b", "c"}
 
     def test_run_propagation_signature(self):
         """The dispatcher is what build() and label_graph() call; it must

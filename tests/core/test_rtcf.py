@@ -13,11 +13,11 @@ import random
 
 import pytest
 
-from repro.core.frozen import (FrozenTCIndex, _rank_runs_python,
-                               default_backend)
+from repro.core.frozen import FrozenTCIndex, _rank_runs_python
 from repro.core.index import IntervalTCIndex
 from repro.core.rtcf import (DTYPE_INT32, DTYPE_INT64, MAGIC,
-                             MappedFrozenTCIndex, _interval_dtype_code,
+                             MappedFrozenTCIndex, _assemble,
+                             _derive_sections_stdlib, _interval_dtype_code,
                              load_rtcf, rtcf_bytes, save_rtcf, sniff_rtcf,
                              verify_rtcf)
 from repro.core.serialize import save_frozen_index
@@ -27,9 +27,6 @@ from repro.factory import open_index
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import random_dag
 from repro.testing.faults import flip_byte
-
-HAVE_NUMPY = default_backend() == "numpy"
-
 
 def small_graph() -> DiGraph:
     return DiGraph(arcs=[("a", "b"), ("b", "c"), ("b", "d"), ("a", "e"),
@@ -71,18 +68,6 @@ class TestRoundTrip:
         save_frozen_index(load_rtcf(path), second, format="rtcf")
         assert open(second, "rb").read() == blob
 
-    def test_backends_write_identical_bytes(self, tmp_path):
-        graph = int_graph(60)
-        numpy_view = IntervalTCIndex.build(graph).freeze(backend=None)
-        array_view = IntervalTCIndex.build(graph).freeze(backend="array")
-        assert rtcf_bytes(numpy_view) == rtcf_bytes(array_view)
-
-    def test_array_backend_load(self, tmp_path):
-        path, frozen = saved(tmp_path, small_graph())
-        rehydrated = load_rtcf(path, backend="array")
-        assert not isinstance(rehydrated, MappedFrozenTCIndex)
-        assert rehydrated.successors("a") == frozen.successors("a")
-
     def test_empty_index(self, tmp_path):
         path, frozen = saved(tmp_path, DiGraph())
         reopened = load_rtcf(path)
@@ -111,7 +96,6 @@ class TestRoundTrip:
             save_frozen_index(frozen, str(tmp_path / "x.bin"), format="cbor")
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="zero-copy path needs numpy")
 class TestMappedView:
     def test_open_index_routes_by_magic_and_extension(self, tmp_path):
         path, frozen = saved(tmp_path, small_graph())
@@ -162,15 +146,16 @@ class TestMappedView:
 
 
 def reference_bytes(index: IntervalTCIndex) -> bytes:
-    """RTCF bytes by the reference route: the per-interval freeze loop,
-    an ``array``-backed view and the stdlib section derivation."""
+    """RTCF bytes by the reference route: the per-interval freeze loop
+    and the pure-Python section derivation."""
     used = index.used_numbers
     nodes = [index.node_of_number[number] for number in used]
     offsets, lows, highs = _rank_runs_python(
         used, [index.intervals[node] for node in nodes])
-    return rtcf_bytes(FrozenTCIndex.from_buffers(
-        nodes=nodes, numbers=list(used), offsets=offsets, lows=lows,
-        highs=highs, backend="array", epoch=index.epoch))
+    sections, flags = _derive_sections_stdlib(nodes, used, offsets, lows,
+                                              highs)
+    return _assemble(sections, flags, num_nodes=len(nodes),
+                     num_intervals=len(lows), epoch=index.epoch)
 
 
 def churned(graph: DiGraph, seed: int) -> IntervalTCIndex:
@@ -186,9 +171,8 @@ def churned(graph: DiGraph, seed: int) -> IntervalTCIndex:
     return index
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="engine-buffer writer needs numpy")
 class TestEngineBufferWriter:
-    """The numpy writer emits the engine's own buffers; every file must
+    """The writer emits the engine's own buffers; every file must
     equal the reference route's, and a mapped view must re-save to the
     file it was opened from."""
 
@@ -211,7 +195,6 @@ class TestEngineBufferWriter:
         assert isinstance(mapped, MappedFrozenTCIndex)
         assert (mapped._lut is not None) == (labels == "dense-ints")
         assert rtcf_bytes(mapped) == blob
-        assert rtcf_bytes(load_rtcf(path, backend="array")) == blob
 
     @pytest.mark.parametrize("num_nodes, code", [
         pytest.param(46_340, DTYPE_INT32, id="int32-side"),

@@ -163,6 +163,26 @@ class TestInProcessHarness:
                                     predecessors=True)
             assert checks == 2 * len(oracle)
 
+    @pytest.mark.parametrize("missing", [
+        pytest.param(99, id="int"), pytest.param(0.5, id="float"),
+        pytest.param("ghost", id="string"),
+        pytest.param("it's", id="quoted-string")])
+    def test_not_found_keeps_the_node_id(self, missing):
+        """The client reads the missing node back out of the error, so
+        ``.node`` and the message match the in-process exception."""
+        graph = random_dag(12, 1.6, 3)
+        expected = NodeNotFoundError(missing)
+        with ServerThread(lambda: HybridTCIndex.build(graph)) as thread:
+            for op, fields in [("check", {"u": missing, "v": 0}),
+                               ("check", {"u": 0, "v": missing}),
+                               ("check-many", {"pairs": [[0, 1],
+                                                         [missing, 1]]})]:
+                with pytest.raises(NodeNotFoundError) as caught:
+                    thread.call(op, **fields)
+                assert caught.value.node == missing
+                assert type(caught.value.node) is type(missing)
+                assert str(caught.value) == str(expected)
+
     def test_harness_surfaces_factory_errors(self):
         def explode():
             raise RuntimeError("factory boom")

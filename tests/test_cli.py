@@ -1,5 +1,8 @@
 """End-to-end tests for the repro-tc command line interface."""
 
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import main
@@ -17,6 +20,17 @@ def edges_file(tmp_path):
     path = tmp_path / "graph.edges"
     path.write_text(EDGES)
     return str(path)
+
+
+def test_import_stays_numpy_free():
+    """numpy loads on first use (a freeze, load or vectorized build), so
+    ``import repro`` and the CLI entry point do not pay for it."""
+    completed = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro, repro.cli; print('numpy' in sys.modules)"],
+        capture_output=True, text=True, timeout=120)
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout.strip() == "False"
 
 
 class TestBuild:
@@ -95,12 +109,6 @@ class TestFrozenEngine:
         capsys.readouterr()
         assert main(["predecessors", target, "d"]) == 0
         assert capsys.readouterr().out.split() == ["a", "b", "c"]
-
-    def test_freeze_array_backend(self, edges_file, tmp_path, capsys):
-        target = str(tmp_path / "frozen.json")
-        assert main(["freeze", edges_file, "-o", target,
-                     "--backend", "array"]) == 0
-        assert "array" in capsys.readouterr().out
 
     def test_freeze_saved_index(self, edges_file, tmp_path, capsys):
         closure = str(tmp_path / "closure.json")
