@@ -37,6 +37,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
+from repro.core.engine import EngineBase, EngineCapabilities
 from repro.errors import GraphError, NodeNotFoundError
 from repro.graph.digraph import DiGraph, Node
 from repro.graph.traversal import reverse_topological_order, topological_order
@@ -159,7 +160,7 @@ def optimal_chain_decomposition(graph: DiGraph,
     return chains
 
 
-class ChainCoverIndex:
+class ChainCoverIndex(EngineBase):
     """Reachability engine over a chain decomposition.
 
     ``reach[u]`` maps a chain id to the smallest position on that chain
@@ -176,8 +177,6 @@ class ChainCoverIndex:
         self._position_of = position_of
         self._reach = reach
         self.method = method
-        self._obs = None
-        self._tracer = None
 
     @classmethod
     def build(cls, graph: DiGraph, method: str = "greedy") -> "ChainCoverIndex":
@@ -223,9 +222,8 @@ class ChainCoverIndex:
         """All indexed nodes."""
         return iter(self._position_of)
 
-    def capabilities(self) -> "EngineCapabilities":
+    def capabilities(self) -> EngineCapabilities:
         """An immutable compiled label set — no graph, no updates."""
-        from repro.core.engine import EngineCapabilities
         return EngineCapabilities(
             kind="chain", supports_updates=False, supports_batch=False,
             is_frozen_snapshot=True, durable=False)
@@ -301,36 +299,9 @@ class ChainCoverIndex:
         return seen if reflexive else seen - 1
 
     # ------------------------------------------------------------------
-    # batch queries and set semijoins
+    # set semijoins on chain positions (the batch forms and
+    # reachable_from_set come from EngineBase)
     # ------------------------------------------------------------------
-    @instrumented("reachable_many")
-    def reachable_many(self, pairs: Iterable[Tuple[Node, Node]]) -> List[bool]:
-        """Batch :meth:`reachable` over ``(source, destination)`` pairs."""
-        return [self.reachable(source, destination)
-                for source, destination in pairs]
-
-    @instrumented("successors_many")
-    def successors_many(self, sources: Iterable[Node], *,
-                        reflexive: bool = True) -> List[Set[Node]]:
-        """One successor set per source, in input order."""
-        return [self.successors(source, reflexive=reflexive)
-                for source in sources]
-
-    @instrumented("predecessors_many")
-    def predecessors_many(self, destinations: Iterable[Node], *,
-                          reflexive: bool = True) -> List[Set[Node]]:
-        """One predecessor set per destination, in input order."""
-        return [self.predecessors(destination, reflexive=reflexive)
-                for destination in destinations]
-
-    @instrumented("reachable_from_set")
-    def reachable_from_set(self, sources: Iterable[Node]) -> Set[Node]:
-        """Everything reachable from *any* source (reflexive)."""
-        result: Set[Node] = set()
-        for source in sources:
-            result |= self.successors(source)
-        return result
-
     @instrumented("reaching_set")
     def reaching_set(self, destinations: Iterable[Node]) -> Set[Node]:
         """Everything that reaches *any* destination (reflexive).

@@ -66,6 +66,7 @@ from itertools import chain
 from typing import (TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional,
                     Sequence, Set, Tuple)
 
+from repro.core.engine import EngineBase, EngineCapabilities
 from repro.errors import IndexStateError, NodeNotFoundError, ReproError
 from repro.graph.digraph import Node
 from repro.obs.instrument import instrumented
@@ -182,7 +183,7 @@ def _coalesce_runs(np, first, last, owner, n: int):
     return offsets, lows, highs
 
 
-class FrozenTCIndex:
+class FrozenTCIndex(EngineBase):
     """Read-only flat-array compilation of an :class:`IntervalTCIndex`.
 
     Construct with :meth:`IntervalTCIndex.freeze` (or :meth:`from_index`);
@@ -191,10 +192,10 @@ class FrozenTCIndex:
 
     The query surface mirrors the mutable index — :meth:`reachable`,
     :meth:`successors`, :meth:`predecessors`, :meth:`count_successors` —
-    plus the batch/set forms :meth:`reachable_many`,
-    :meth:`successors_many`, :meth:`predecessors_many`,
-    :meth:`reachable_from_set`, :meth:`reaching_set`, :meth:`any_reachable`
-    and :meth:`are_disjoint`.
+    with native batch and semijoin paths (:meth:`reachable_many`,
+    :meth:`reachable_from_set`, :meth:`reaching_set`,
+    :meth:`any_reachable`, :meth:`are_disjoint`); the ``*_many`` set
+    forms come from :class:`~repro.core.engine.EngineBase`.
     """
 
     def __init__(self, *, nodes: Sequence[Node], numbers: Sequence,
@@ -217,8 +218,6 @@ class FrozenTCIndex:
             raise ReproError("duplicate node labels in frozen buffers")
         self._source = source
         self._source_epoch = source_epoch
-        self._obs = None
-        self._tracer = None
         self._materialize(offsets, lows, highs)
 
     # ------------------------------------------------------------------
@@ -395,6 +394,13 @@ class FrozenTCIndex:
     # ------------------------------------------------------------------
     # point queries
     # ------------------------------------------------------------------
+    def _runs(self, node: Node) -> List[Tuple[int, int]]:
+        """``node``'s row as ``(lo, hi)`` rank pairs."""
+        sid = self._id(node)
+        start, stop = int(self._off[sid]), int(self._off[sid + 1])
+        return list(zip(self._lo[start:stop].tolist(),
+                        self._hi[start:stop].tolist()))
+
     def _covers(self, sid: int, rank: int) -> bool:
         start = int(self._off[sid])
         stop = int(self._off[sid + 1])
@@ -451,8 +457,7 @@ class FrozenTCIndex:
         self._check_fresh()
         sid = self._id(source)
         start, stop = int(self._off[sid]), int(self._off[sid + 1])
-        total = sum(int(self._hi[position]) - int(self._lo[position]) + 1
-                    for position in range(start, stop))
+        total = int((self._hi[start:stop] - self._lo[start:stop] + 1).sum())
         return total if reflexive else total - 1
 
     @instrumented("predecessors")
@@ -542,20 +547,6 @@ class FrozenTCIndex:
         if (ids < 0).any():
             return None
         return ids.reshape(count, 2)
-
-    @instrumented("successors_many")
-    def successors_many(self, sources: Iterable[Node], *,
-                        reflexive: bool = True) -> List[Set[Node]]:
-        """One successor set per source, in input order."""
-        return [self.successors(source, reflexive=reflexive)
-                for source in sources]
-
-    @instrumented("predecessors_many")
-    def predecessors_many(self, destinations: Iterable[Node], *,
-                          reflexive: bool = True) -> List[Set[Node]]:
-        """One predecessor set per destination, in input order."""
-        return [self.predecessors(destination, reflexive=reflexive)
-                for destination in destinations]
 
     # ------------------------------------------------------------------
     # set semijoins (the building blocks of recursive query evaluation)
@@ -667,9 +658,8 @@ class FrozenTCIndex:
             "epoch": self._source_epoch,
         }
 
-    def capabilities(self) -> "EngineCapabilities":
+    def capabilities(self) -> EngineCapabilities:
         """Immutable compiled buffers with vectorised batch queries."""
-        from repro.core.engine import EngineCapabilities
         return EngineCapabilities(
             kind="frozen", supports_updates=False, supports_batch=True,
             is_frozen_snapshot=True, durable=False)

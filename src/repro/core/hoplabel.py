@@ -31,8 +31,9 @@ lists, O(candidates) with no per-candidate intersection.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Set
 
+from repro.core.engine import EngineBase, EngineCapabilities
 from repro.errors import NodeNotFoundError
 from repro.graph.digraph import DiGraph, Node
 from repro.graph.traversal import topological_order
@@ -56,7 +57,7 @@ def _intersects(left: List[int], right: List[int]) -> bool:
     return False
 
 
-class HopLabelIndex:
+class HopLabelIndex(EngineBase):
     """2-hop reachability oracle with pruned Lin/Lout hub labels."""
 
     def __init__(self, node_of: List[Node], id_of: Dict[Node, int],
@@ -76,8 +77,6 @@ class HopLabelIndex:
                 out_clusters[rank].append(identifier)
         self._in_clusters = in_clusters
         self._out_clusters = out_clusters
-        self._obs = None
-        self._tracer = None
 
     @classmethod
     def build(cls, graph: DiGraph) -> "HopLabelIndex":
@@ -163,9 +162,8 @@ class HopLabelIndex:
         """All indexed nodes."""
         return iter(self._id_of)
 
-    def capabilities(self) -> "EngineCapabilities":
+    def capabilities(self) -> EngineCapabilities:
         """An immutable compiled label set — no graph, no updates."""
-        from repro.core.engine import EngineCapabilities
         return EngineCapabilities(
             kind="hoplabel", supports_updates=False, supports_batch=False,
             is_frozen_snapshot=True, durable=False)
@@ -230,37 +228,10 @@ class HopLabelIndex:
             result.discard(destination)
         return result
 
-    @instrumented("count_successors")
-    def count_successors(self, source: Node, *, reflexive: bool = True) -> int:
-        """Number of successors; clusters overlap, so ids are deduplicated."""
-        identifiers: Set[int] = set()
-        for rank in self._lout[self._id(source)]:
-            identifiers.update(self._in_clusters[rank])
-        return len(identifiers) if reflexive else len(identifiers) - 1
-
     # ------------------------------------------------------------------
-    # batch queries and set semijoins
+    # hub-union semijoins (the batch forms, count_successors and
+    # are_disjoint come from EngineBase)
     # ------------------------------------------------------------------
-    @instrumented("reachable_many")
-    def reachable_many(self, pairs: Iterable[Tuple[Node, Node]]) -> List[bool]:
-        """Batch :meth:`reachable` over ``(source, destination)`` pairs."""
-        return [self.reachable(source, destination)
-                for source, destination in pairs]
-
-    @instrumented("successors_many")
-    def successors_many(self, sources: Iterable[Node], *,
-                        reflexive: bool = True) -> List[Set[Node]]:
-        """One successor set per source, in input order."""
-        return [self.successors(source, reflexive=reflexive)
-                for source in sources]
-
-    @instrumented("predecessors_many")
-    def predecessors_many(self, destinations: Iterable[Node], *,
-                          reflexive: bool = True) -> List[Set[Node]]:
-        """One predecessor set per destination, in input order."""
-        return [self.predecessors(destination, reflexive=reflexive)
-                for destination in destinations]
-
     @instrumented("reachable_from_set")
     def reachable_from_set(self, sources: Iterable[Node]) -> Set[Node]:
         """Everything reachable from *any* source (reflexive).
@@ -307,11 +278,6 @@ class HopLabelIndex:
                    for rank in self._lout[self._id(source)]):
                 return True
         return False
-
-    @instrumented("are_disjoint")
-    def are_disjoint(self, first: Node, second: Node) -> bool:
-        """Whether the two nodes share no common descendant (reflexive)."""
-        return not (self.successors(first) & self.successors(second))
 
     # ------------------------------------------------------------------
     # size accounting

@@ -64,9 +64,12 @@ from __future__ import annotations
 
 import random
 import time as _time
+from bisect import bisect_left, bisect_right
+from operator import itemgetter
 from typing import (Dict, FrozenSet, Iterable, Iterator, List, Sequence,
                     Set, Tuple, Union)
 
+from repro.core.engine import EngineBase, EngineCapabilities
 from repro.core.frozen import FrozenTCIndex
 from repro.core.index import DEFAULT_GAP, IntervalTCIndex
 from repro.errors import IndexStateError, NodeNotFoundError, ReproError
@@ -85,7 +88,7 @@ DEFAULT_MAX_RATIO = 0.25
 DEFAULT_DELETE_COST = 8
 
 
-class HybridTCIndex:
+class HybridTCIndex(EngineBase):
     """Frozen base snapshot + mutable delta overlay + write-through truth.
 
     Build with :meth:`build` (or wrap an existing index with
@@ -113,8 +116,6 @@ class HybridTCIndex:
         self._delete_cost = delete_cost
         self._auto_compact_on_query = auto_compact_on_query
         self._compactions = 0
-        self._obs = None
-        self._tracer = None
         self._base = self._compile()
         self._reset_delta()
 
@@ -175,8 +176,6 @@ class HybridTCIndex:
         self._delete_cost = delete_cost
         self._auto_compact_on_query = auto_compact_on_query
         self._compactions = 0
-        self._obs = None
-        self._tracer = None
         self._base = base.detach()
         self._reset_delta()
         self._delta_arcs = [(source, destination)
@@ -211,6 +210,9 @@ class HybridTCIndex:
         self._delta_memo: Dict[Node, FrozenSet[Node]] = {}
         #: query source -> frozenset of delta entry targets (T).
         self._entry_memo: Dict[Node, FrozenSet[Node]] = {}
+        #: (sorted base ranks of in-base delta-arc sources, their arc
+        #: targets), built on first use after each mutation.
+        self._arc_ranks = None
 
     # ------------------------------------------------------------------
     # compaction
@@ -338,6 +340,7 @@ class HybridTCIndex:
         self._expected_epoch = self._index.epoch
         self._delta_memo.clear()
         self._entry_memo.clear()
+        self._arc_ranks = None
         if not self._auto_compact_on_query and self._over_threshold():
             self.compact()
 
@@ -491,42 +494,41 @@ class HybridTCIndex:
         """T(source): union of D(b) over delta arcs (a, b) with base(source, a).
 
         Everything ``source`` gained from the overlay is base-reachable
-        from some member of this set.  One vectorised batch resolves the
-        arc-source tests; the result is memoised until the next mutation.
+        from some member of this set.  The result is memoised until the
+        next mutation.
         """
         memo = self._entry_memo
         cached = memo.get(source)
         if cached is not None:
             return cached
-        arcs = self._delta_arcs
         targets: Set[Node] = set()
-        if arcs:
-            hits = self._base_reach_each(source, [a for a, _ in arcs])
-            for (arc_source, arc_target), hit in zip(arcs, hits):
-                if hit:
-                    targets |= self._delta_closure(arc_target)
+        for arc_target in self._entered_arcs(source):
+            targets |= self._delta_closure(arc_target)
         result = frozenset(targets)
         memo[source] = result
         return result
 
-    def _base_reach_each(self, source: Node,
-                         nodes: Sequence[Node]) -> List[bool]:
-        """base(source, node) for each node, batching the in-base pairs."""
+    def _entered_arcs(self, source: Node) -> List[Node]:
+        """Targets ``b`` of the delta arcs ``(a, b)`` with ``base(source, a)``.
+
+        The in-base arc sources are kept sorted by base rank until the
+        next mutation, so an in-base source pays one bisect pair per run
+        of its row instead of one base probe per delta arc.  (A row
+        covers its own rank, so arcs leaving ``source`` are found too.)
+        """
         base = self._base
-        hits = [False] * len(nodes)
-        source_in_base = source in base
-        pairs: List[Tuple[Node, Node]] = []
-        slots: List[int] = []
-        for position, node in enumerate(nodes):
-            if node == source:
-                hits[position] = True
-            elif source_in_base and node in base:
-                pairs.append((source, node))
-                slots.append(position)
-        if pairs:
-            for slot, hit in zip(slots, base.reachable_many(pairs)):
-                hits[slot] = hit
-        return hits
+        if source not in base:
+            return [b for a, b in self._delta_arcs if a == source]
+        if self._arc_ranks is None:
+            keyed = sorted(((base._id(a), b) for a, b in self._delta_arcs
+                            if a in base), key=itemgetter(0))
+            self._arc_ranks = ([rank for rank, _ in keyed],
+                               [b for _, b in keyed])
+        ranks, ends = self._arc_ranks
+        entered: List[Node] = []
+        for lo, hi in base._runs(source):
+            entered += ends[bisect_left(ranks, lo):bisect_right(ranks, hi)]
+        return entered
 
     # ------------------------------------------------------------------
     # point queries
@@ -574,11 +576,6 @@ class HybridTCIndex:
             result.discard(source)
         return result
 
-    def iter_successors(self, source: Node, *,
-                        reflexive: bool = True) -> Iterator[Node]:
-        """Duplicate-free successor iterator (order unspecified)."""
-        return iter(self.successors(source, reflexive=reflexive))
-
     @instrumented("count_successors")
     def count_successors(self, source: Node, *, reflexive: bool = True) -> int:
         """Successor count; run-width arithmetic on the clean no-delta path."""
@@ -586,8 +583,10 @@ class HybridTCIndex:
             return self._index.count_successors(source, reflexive=reflexive)
         if not self._delta_arcs and source in self._base:
             return self._base.count_successors(source, reflexive=reflexive)
-        total = len(self.successors(source))
-        return total if reflexive else total - 1
+        # The generic fallbacks call the EngineBase default unwrapped, so
+        # one call still counts once under this engine's label.
+        return EngineBase.count_successors.__wrapped__(
+            self, source, reflexive=reflexive)
 
     @instrumented("predecessors")
     def predecessors(self, destination: Node, *,
@@ -624,9 +623,7 @@ class HybridTCIndex:
         """
         pair_list = pairs if isinstance(pairs, list) else list(pairs)
         if self._sync():
-            index = self._index
-            return [index.reachable(source, destination)
-                    for source, destination in pair_list]
+            return self._index.reachable_many(pair_list)
         if not pair_list:
             return []
         base = self._base
@@ -656,20 +653,6 @@ class HybridTCIndex:
                         break
         return results
 
-    @instrumented("successors_many")
-    def successors_many(self, sources: Iterable[Node], *,
-                        reflexive: bool = True) -> List[Set[Node]]:
-        """One successor set per source, in input order."""
-        return [self.successors(source, reflexive=reflexive)
-                for source in sources]
-
-    @instrumented("predecessors_many")
-    def predecessors_many(self, destinations: Iterable[Node], *,
-                          reflexive: bool = True) -> List[Set[Node]]:
-        """One predecessor set per destination, in input order."""
-        return [self.predecessors(destination, reflexive=reflexive)
-                for destination in destinations]
-
     # ------------------------------------------------------------------
     # set semijoins
     # ------------------------------------------------------------------
@@ -678,66 +661,51 @@ class HybridTCIndex:
         """Everything reachable from *any* source (reflexive)."""
         source_list = list(sources)
         if self._sync():
-            result: Set[Node] = set()
-            for source in source_list:
-                result |= self._index.successors(source)
-            return result
+            return self._index.reachable_from_set(source_list)
         base = self._base
         if not self._delta_arcs and all(source in base
                                         for source in source_list):
             return base.reachable_from_set(source_list)
-        result = set()
-        for source in source_list:
-            result |= self.successors(source)
-        return result
+        return EngineBase.reachable_from_set.__wrapped__(self, source_list)
 
     @instrumented("reaching_set")
     def reaching_set(self, destinations: Iterable[Node]) -> Set[Node]:
         """Everything that reaches *any* destination (reflexive)."""
         destination_list = list(destinations)
         if self._sync():
-            result: Set[Node] = set()
-            for destination in destination_list:
-                result |= self._index.predecessors(destination)
-            return result
+            return self._index.reaching_set(destination_list)
         base = self._base
         if not self._delta_arcs and all(destination in base
                                         for destination in destination_list):
             return base.reaching_set(destination_list)
-        result = set()
-        for destination in destination_list:
-            result |= self.predecessors(destination)
-        return result
+        return EngineBase.reaching_set.__wrapped__(self, destination_list)
 
     @instrumented("any_reachable")
     def any_reachable(self, sources: Iterable[Node],
                       destinations: Iterable[Node]) -> bool:
         """Does any source reach any destination?  Early-exit semijoin."""
         destination_list = list(destinations)
-        if not destination_list:
-            return False
-        if not self._sync() and not self._delta_arcs:
-            base = self._base
-            if (all(d in base for d in destination_list)):
-                source_list = list(sources)
-                if all(s in base for s in source_list):
-                    return base.any_reachable(source_list, destination_list)
-                sources = source_list
-        for destination in destination_list:
-            self._require(destination)
-        destination_set = set(destination_list)
-        for source in sources:
-            if self.successors(source) & destination_set:
-                return True
-        return False
+        if self._sync():
+            return self._index.any_reachable(sources, destination_list)
+        base = self._base
+        if not self._delta_arcs and all(destination in base
+                                        for destination in destination_list):
+            source_list = list(sources)
+            if all(source in base for source in source_list):
+                return base.any_reachable(source_list, destination_list)
+            sources = source_list
+        return EngineBase.any_reachable.__wrapped__(self, sources,
+                                                    destination_list)
 
     @instrumented("are_disjoint")
     def are_disjoint(self, first: Node, second: Node) -> bool:
         """Whether the two nodes share no common descendant (reflexive)."""
-        if (not self._sync() and not self._delta_arcs
+        if self._sync():
+            return self._index.are_disjoint(first, second)
+        if (not self._delta_arcs
                 and first in self._base and second in self._base):
             return self._base.are_disjoint(first, second)
-        return not (self.successors(first) & self.successors(second))
+        return EngineBase.are_disjoint.__wrapped__(self, first, second)
 
     # ------------------------------------------------------------------
     # membership and introspection
@@ -752,9 +720,8 @@ class HybridTCIndex:
         """All indexed nodes (current state, overlay included)."""
         return self._index.nodes()
 
-    def capabilities(self) -> "EngineCapabilities":
+    def capabilities(self) -> EngineCapabilities:
         """Updatable with a vectorised frozen base for clean batches."""
-        from repro.core.engine import EngineCapabilities
         return EngineCapabilities(
             kind="hybrid", supports_updates=True, supports_batch=True,
             is_frozen_snapshot=False, durable=False)

@@ -27,9 +27,10 @@ import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import (TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional,
-                    Sequence, Set, Tuple, Union)
+                    Sequence, Set, Union)
 
 from repro.core import updates as _updates
+from repro.core.engine import EngineBase, EngineCapabilities
 from repro.core.intervals import Interval, IntervalSet
 from repro.core.labeling import Labeling, assign_postorder, merge_all, propagate_intervals
 from repro.core.tree_cover import TreeCover, build_tree_cover
@@ -86,7 +87,7 @@ class IndexStats:
         return dict(self.__dict__)
 
 
-class IntervalTCIndex:
+class IntervalTCIndex(EngineBase):
     """Compressed transitive closure with interval labels.
 
     Build with :meth:`build`; query with :meth:`reachable`,
@@ -146,12 +147,6 @@ class IntervalTCIndex:
         #: :class:`repro.durability.wal.WalWriter`.  ``None`` costs one
         #: attribute test per mutation.
         self.journal = None
-        #: Observability hooks (see :mod:`repro.obs.instrument`): per-op
-        #: metrics instruments and a query tracer, both attached after
-        #: construction via :func:`repro.obs.instrument.attach`.  ``None``
-        #: costs two attribute reads per instrumented call.
-        self._obs = None
-        self._tracer = None
         #: Full renumbering passes (:func:`repro.core.updates.renumber`).
         self._renumber_count = 0
 
@@ -182,6 +177,12 @@ class IntervalTCIndex:
         :class:`repro.errors.CycleError` on cyclic input — wrap cyclic
         graphs with :class:`repro.core.condensation.CondensedIndex`
         instead.
+
+        The index takes ownership of ``graph``: it keeps the object (no
+        copy, which would add O(n + m) to every build) and mutates it on
+        every update.  To build two indexes from one graph, pass
+        ``graph.copy()`` to each; two indexes sharing a graph corrupt
+        each other's updates.
         """
         from repro.core.propagation import run_propagation
         cover = build_cover(graph, policy, merge_ordering=merge_ordering,
@@ -381,38 +382,9 @@ class IntervalTCIndex:
         return seen if reflexive else seen - 1
 
     # ------------------------------------------------------------------
-    # batch queries and set semijoins (the shared TCEngine surface; the
-    # frozen/hybrid engines override these with vectorised fast paths,
-    # here they are the straightforward single-op loops)
+    # set semijoins with sorted-target sweeps (the batch forms and the
+    # other semijoins come from EngineBase)
     # ------------------------------------------------------------------
-    @instrumented("reachable_many")
-    def reachable_many(self, pairs: Iterable[Tuple[Node, Node]]) -> List[bool]:
-        """Batch :meth:`reachable` over ``(source, destination)`` pairs."""
-        return [self.reachable(source, destination)
-                for source, destination in pairs]
-
-    @instrumented("successors_many")
-    def successors_many(self, sources: Iterable[Node], *,
-                        reflexive: bool = True) -> List[Set[Node]]:
-        """One successor set per source, in input order."""
-        return [self.successors(source, reflexive=reflexive)
-                for source in sources]
-
-    @instrumented("predecessors_many")
-    def predecessors_many(self, destinations: Iterable[Node], *,
-                          reflexive: bool = True) -> List[Set[Node]]:
-        """One predecessor set per destination, in input order."""
-        return [self.predecessors(destination, reflexive=reflexive)
-                for destination in destinations]
-
-    @instrumented("reachable_from_set")
-    def reachable_from_set(self, sources: Iterable[Node]) -> Set[Node]:
-        """Everything reachable from *any* source (reflexive)."""
-        result: Set[Node] = set()
-        for source in sources:
-            result |= self.successors(source)
-        return result
-
     @instrumented("reaching_set")
     def reaching_set(self, destinations: Iterable[Node]) -> Set[Node]:
         """Everything that reaches *any* destination (reflexive).
@@ -444,11 +416,6 @@ class IntervalTCIndex:
             if self._covers_any(self.intervals[source], targets):
                 return True
         return False
-
-    @instrumented("are_disjoint")
-    def are_disjoint(self, first: Node, second: Node) -> bool:
-        """Whether the two nodes share no common descendant (reflexive)."""
-        return not (self.successors(first) & self.successors(second))
 
     def _number_of(self, node: Node) -> int:
         try:
@@ -498,9 +465,8 @@ class IntervalTCIndex:
         """Full renumbering passes this index has performed."""
         return self._renumber_count
 
-    def capabilities(self) -> "EngineCapabilities":
+    def capabilities(self) -> EngineCapabilities:
         """Updatable, loop-based batches, graph-carrying, in-memory."""
-        from repro.core.engine import EngineCapabilities
         return EngineCapabilities(
             kind="interval", supports_updates=True, supports_batch=False,
             is_frozen_snapshot=False, durable=False)

@@ -2,26 +2,31 @@
 
 Section 6 of the paper lists the operations a knowledge-representation
 system needs beyond raw reachability: "subsumption, disjointness, least
-common ancestors, and other properties".  This module implements them on
-top of :class:`~repro.core.index.IntervalTCIndex`, and provides the
-irreflexive (strict) view of reachability for callers who do not want the
-paper's every-node-reaches-itself convention.
+common ancestors, and other properties".  The set semijoins and
+disjointness are engine methods (``reachable_from_set``,
+``reaching_set``, ``any_reachable``, ``are_disjoint`` and the batch
+``reachable_many`` on every :class:`~repro.core.engine.TCEngine`); this
+module adds what is computed *across* several of those calls — common
+ancestors and descendants, least common ancestors and greatest common
+descendants, comparability, topological levels — and the irreflexive
+(strict) view of reachability for callers who do not want the paper's
+every-node-reaches-itself convention.
 
 Every helper is written against the shared
 :class:`~repro.core.engine.TCEngine` protocol, so any engine works —
 mutable, frozen, hybrid, or durable (:func:`topological_level` is the
 one exception: it needs a graph, which only mutable-backed engines
 carry).  Given a mutable index that currently has a fresh frozen view
-(see :meth:`IntervalTCIndex.freeze`), queries transparently route
-through the flat-array engine: predecessor-flavoured queries then use
-the reverse interval index instead of scanning every node, and
-:func:`path_exists_batch` runs vectorised.  A hybrid engine routes
-internally (base snapshot + delta overlay), so it is always used as-is.
+(see :meth:`IntervalTCIndex.freeze`), the set helpers transparently
+route through the flat-array engine, whose predecessor queries use the
+reverse interval index instead of scanning every node.  A hybrid engine
+routes internally (base snapshot + delta overlay), so it is always used
+as-is.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Set
+from typing import Iterable, Set
 
 from repro.core.engine import TCEngine
 from repro.core.index import IntervalTCIndex
@@ -114,18 +119,6 @@ def greatest_common_descendants(index: Engine, nodes: Iterable[Node]) -> Set[Nod
                        for other in candidates)}
 
 
-def are_disjoint(index: Engine, first: Node, second: Node) -> bool:
-    """Whether two hierarchy nodes share no common descendant.
-
-    In an IS-A hierarchy read downward (concept -> subconcept), two
-    concepts with no common descendant cannot classify a shared instance —
-    the "disjointness" computation of Section 6.  Under the frozen engine
-    this is a two-pointer walk over the two rank-run lists; no successor
-    set is materialised.
-    """
-    return _engine(index).are_disjoint(first, second)
-
-
 def are_comparable(index: Engine, first: Node, second: Node) -> bool:
     """Whether one of the two nodes reaches the other."""
     return index.reachable(first, second) or index.reachable(second, first)
@@ -156,46 +149,3 @@ def topological_level(index: IntervalTCIndex, node: Node) -> int:
         memo[current] = 1 + max(levels) if levels else 0
     return memo[node]
 
-
-def path_exists_batch(index: Engine,
-                      pairs: Iterable[tuple]) -> List[bool]:
-    """Vector form of :meth:`IntervalTCIndex.reachable` for benchmark loops.
-
-    Delegates to :meth:`FrozenTCIndex.reachable_many` (one vectorised
-    lookup under numpy) whenever a frozen view is available; the
-    list-of-bools contract is identical either way.
-    """
-    return _engine(index).reachable_many(pairs)
-
-
-def reachable_from_set(index: Engine,
-                       sources: Iterable[Node]) -> Set[Node]:
-    """Everything reachable from *any* of ``sources`` (reflexive).
-
-    The semijoin building block of recursive query evaluation: one
-    interval-set union instead of per-source traversals.
-    """
-    return _engine(index).reachable_from_set(sources)
-
-
-def reaching_set(index: Engine,
-                 destinations: Iterable[Node]) -> Set[Node]:
-    """Everything that reaches *any* of ``destinations`` (reflexive).
-
-    Frozen engine: one reverse-index stab per distinct destination —
-    O(log m + answers) each.  Mutable engine: the target numbers are
-    sorted once, then each node pays one early-exit bisect pass over its
-    own intervals — O(n k log t) worst case, versus the naive
-    O(n t log k) of testing every target against every node.
-    """
-    return _engine(index).reaching_set(destinations)
-
-
-def any_reachable(index: Engine, sources: Iterable[Node],
-                  destinations: Iterable[Node]) -> bool:
-    """Does any source reach any destination?  Early-exit set semijoin.
-
-    Target numbers are sorted once; each source then needs one bisect per
-    stored interval, stopping at the first hit.
-    """
-    return _engine(index).any_reachable(sources, destinations)

@@ -524,8 +524,6 @@ class MappedFrozenTCIndex(FrozenTCIndex):
         self._num_nodes = header.num_nodes
         self._source = None
         self._source_epoch = header.epoch
-        self._obs = None
-        self._tracer = None
         self._off = _np_section(np, mm, header, SEC_OFFSETS)
         self._lo = _np_section(np, mm, header, SEC_LOWS)
         self._hi = _np_section(np, mm, header, SEC_HIGHS)

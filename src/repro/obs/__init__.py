@@ -1,13 +1,19 @@
 """Engine-wide observability: metrics, query tracing, health stats.
 
-Dependency-free.  Three pieces:
+Dependency-free.  Four pieces:
 
 * :mod:`repro.obs.metrics` — counters, gauges, fixed-bucket histograms
   under a :class:`MetricsRegistry` with snapshot/delta semantics;
 * :mod:`repro.obs.tracing` — :class:`QueryTracer` span trees with
   ring-buffer retention;
 * :mod:`repro.obs.instrument` — the one seam (:func:`attach`,
-  :func:`instrumented`) wiring both into the four engines;
+  :func:`instrumented`) wiring both into every engine: the interval,
+  frozen (and mmap'd RTCF), hybrid, 2-hop label, chain-cover and durable
+  engines.  The query methods that
+  :class:`~repro.core.engine.EngineBase` derives (``iter_successors``,
+  ``count_successors``, the ``*_many`` forms and the set semijoins) are
+  instrumented there once, so an engine that inherits them reports
+  them like its own;
 * :mod:`repro.obs.export` — human table, JSON, Prometheus text.
 
 Typical use::

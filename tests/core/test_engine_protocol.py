@@ -153,6 +153,8 @@ class TestSemantics:
         assert engine.successors("b", reflexive=False) == {"c", "d", "f"}
         assert engine.predecessors("d", reflexive=False) == {"a", "b", "e"}
         assert engine.count_successors("a") == len(engine.successors("a"))
+        assert engine.count_successors("a", reflexive=False) == len(
+            engine.successors("a", reflexive=False))
         assert (sorted(engine.iter_successors("b"), key=str)
                 == sorted(engine.successors("b"), key=str))
 

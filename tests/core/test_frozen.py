@@ -517,19 +517,28 @@ def test_queries_route_through_frozen_view(paper_index):
     nodes = list(paper_index.nodes())
     pairs = [(u, v) for u in nodes[:4] for v in nodes[:4]]
     before = {
-        "batch": queries.path_exists_batch(paper_index, pairs),
-        "reaching": queries.reaching_set(paper_index, ["h"]),
-        "from_set": queries.reachable_from_set(paper_index, ["b", "c"]),
-        "any": queries.any_reachable(paper_index, ["a"], ["h"]),
-        "disjoint": queries.are_disjoint(paper_index, "d", "g"),
+        "ancestors": queries.ancestors(paper_index, "h"),
+        "common": queries.common_ancestors(paper_index, ["d", "h"]),
+        "lca": queries.least_common_ancestors(paper_index, ["d", "g"]),
+        "gcd": queries.greatest_common_descendants(paper_index, ["b", "c"]),
     }
-    paper_index.freeze()
-    assert queries.path_exists_batch(paper_index, pairs) == before["batch"]
-    assert queries.reaching_set(paper_index, ["h"]) == before["reaching"]
-    assert queries.reachable_from_set(paper_index, ["b", "c"]) == \
-        before["from_set"]
-    assert queries.any_reachable(paper_index, ["a"], ["h"]) == before["any"]
-    assert queries.are_disjoint(paper_index, "d", "g") == before["disjoint"]
+    frozen = paper_index.freeze()
+    assert queries._engine(paper_index) is frozen
+    assert queries.ancestors(paper_index, "h") == before["ancestors"]
+    assert queries.common_ancestors(paper_index, ["d", "h"]) == \
+        before["common"]
+    assert queries.least_common_ancestors(paper_index, ["d", "g"]) == \
+        before["lca"]
+    assert queries.greatest_common_descendants(paper_index, ["b", "c"]) == \
+        before["gcd"]
+    # The batch and semijoin methods answer alike on the index and its view.
+    assert frozen.reachable_many(pairs) == paper_index.reachable_many(pairs)
+    assert frozen.reaching_set(["h"]) == paper_index.reaching_set(["h"])
+    assert frozen.reachable_from_set(["b", "c"]) == \
+        paper_index.reachable_from_set(["b", "c"])
+    assert frozen.any_reachable(["a"], ["h"]) == \
+        paper_index.any_reachable(["a"], ["h"])
+    assert frozen.are_disjoint("d", "g") == paper_index.are_disjoint("d", "g")
 
 
 def test_queries_accept_frozen_directly(paper_index):

@@ -221,35 +221,49 @@ class TestBatchAndSemijoins:
         hybrid.add_arc("g", "d")
         return hybrid
 
+    def _inputs(self, paper_dag):
+        """The overlay-corrected hybrid, then a tainted one that routes
+        every query to the write-through index."""
+        pristine = paper_dag.copy()  # each index owns and mutates its graph
+        clean = self._populated(paper_dag)
+        assert not clean.tainted
+        tainted = self._populated(pristine)
+        tainted.remove_arc("c", "e")  # pre-snapshot arc, before compaction
+        assert tainted.tainted and tainted.compactions == 0
+        return clean, tainted
+
     def test_semijoins_match_index(self, paper_dag):
-        hybrid = self._populated(paper_dag)
-        index = hybrid.index
-        nodes = sorted(index.nodes(), key=repr)
-        sources, destinations = nodes[::2], nodes[1::2]
-        expected_from = set()
-        for source in sources:
-            expected_from |= index.successors(source)
-        assert hybrid.reachable_from_set(sources) == expected_from
-        expected_to = set()
-        for destination in destinations:
-            expected_to |= index.predecessors(destination)
-        assert hybrid.reaching_set(destinations) == expected_to
-        expected_any = any(index.reachable(u, v)
-                           for u in sources for v in destinations)
-        assert hybrid.any_reachable(sources, destinations) == expected_any
-        for u in nodes:
-            for v in nodes:
-                expected = not (index.successors(u) & index.successors(v))
-                assert hybrid.are_disjoint(u, v) == expected
+        for hybrid in self._inputs(paper_dag):
+            index = hybrid.index
+            nodes = sorted(index.nodes(), key=repr)
+            sources, destinations = nodes[::2], nodes[1::2]
+            expected_from = set()
+            for source in sources:
+                expected_from |= index.successors(source)
+            assert hybrid.reachable_from_set(sources) == expected_from
+            expected_to = set()
+            for destination in destinations:
+                expected_to |= index.predecessors(destination)
+            assert hybrid.reaching_set(destinations) == expected_to
+            expected_any = any(index.reachable(u, v)
+                               for u in sources for v in destinations)
+            assert hybrid.any_reachable(sources, destinations) == expected_any
+            for u in nodes:
+                for v in nodes:
+                    expected = not (index.successors(u) & index.successors(v))
+                    assert hybrid.are_disjoint(u, v) == expected
 
     def test_many_forms_match_pointwise(self, paper_dag):
-        hybrid = self._populated(paper_dag)
-        nodes = sorted(hybrid.index.nodes(), key=repr)
-        assert hybrid.successors_many(nodes) == \
-            [hybrid.successors(node) for node in nodes]
-        assert hybrid.predecessors_many(nodes) == \
-            [hybrid.predecessors(node) for node in nodes]
-        assert set(hybrid.iter_successors("a")) == hybrid.successors("a")
+        for hybrid in self._inputs(paper_dag):
+            nodes = sorted(hybrid.index.nodes(), key=repr)
+            pairs = [(u, v) for u in nodes for v in nodes]
+            assert hybrid.reachable_many(pairs) == \
+                [hybrid.reachable(u, v) for u, v in pairs]
+            assert hybrid.successors_many(nodes) == \
+                [hybrid.successors(node) for node in nodes]
+            assert hybrid.predecessors_many(nodes) == \
+                [hybrid.predecessors(node) for node in nodes]
+            assert set(hybrid.iter_successors("a")) == hybrid.successors("a")
 
     def test_reachable_many_empty_batch(self, diamond):
         hybrid = HybridTCIndex.build(diamond)

@@ -48,6 +48,20 @@ class TestBuild:
         index.verify()
         assert index.gap == gap
 
+    def test_build_takes_ownership_of_the_graph(self, paper_dag):
+        # No defensive copy: the index keeps (and updates) the caller's
+        # graph, so two indexes need two copies.  Sharing one graph made
+        # the second index's gap-exhaustion renumber die with KeyError.
+        owned = IntervalTCIndex.build(paper_dag)
+        assert owned.graph is paper_dag
+        first = IntervalTCIndex.build(paper_dag.copy(), gap=1)
+        second = IntervalTCIndex.build(paper_dag.copy(), gap=1)
+        for index in (first, second):
+            index.add_node("x", parents=["d"])
+            assert index.renumber_count == 1
+            assert index.reachable("a", "x")
+            index.verify()
+
 
 class TestReachable:
     def test_reflexive(self, paper_dag):

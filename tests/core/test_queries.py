@@ -1,4 +1,6 @@
-"""Tests for the higher-level query layer (LCA, disjointness, etc.)."""
+"""Tests for the Section 6 query layer: the :mod:`repro.core.queries`
+helpers (LCA, common sets, levels) and the engine methods they sit beside
+(disjointness, batch reachability, set semijoins)."""
 
 import pytest
 
@@ -84,13 +86,13 @@ class TestExtremalSets:
 
 class TestDisjointness:
     def test_disjoint_leaves(self, lattice_index):
-        assert queries.are_disjoint(lattice_index, "bottom-l", "bottom-r")
+        assert lattice_index.are_disjoint("bottom-l", "bottom-r")
 
     def test_shared_descendant_not_disjoint(self, lattice_index):
-        assert not queries.are_disjoint(lattice_index, "left", "right")
+        assert not lattice_index.are_disjoint("left", "right")
 
     def test_comparable_not_disjoint(self, lattice_index):
-        assert not queries.are_disjoint(lattice_index, "top", "mid")
+        assert not lattice_index.are_disjoint("top", "mid")
 
     def test_comparability(self, lattice_index):
         assert queries.are_comparable(lattice_index, "top", "bottom")
@@ -114,25 +116,23 @@ class TestLevels:
 
 class TestBatch:
     def test_path_exists_batch(self, lattice_index):
-        answers = queries.path_exists_batch(
-            lattice_index,
+        answers = lattice_index.reachable_many(
             [("top", "bottom"), ("bottom", "top"), ("mid", "mid")])
         assert answers == [True, False, True]
 
 
 class TestSetQueries:
     def test_reachable_from_set(self, lattice_index):
-        reached = queries.reachable_from_set(lattice_index,
-                                             ["bottom-l", "bottom-r"])
+        reached = lattice_index.reachable_from_set(["bottom-l", "bottom-r"])
         assert reached == {"bottom-l", "bottom-r"}
-        reached = queries.reachable_from_set(lattice_index, ["left"])
+        reached = lattice_index.reachable_from_set(["left"])
         assert reached == {"left", "mid", "bottom", "bottom-l"}
 
     def test_reachable_from_empty_set(self, lattice_index):
-        assert queries.reachable_from_set(lattice_index, []) == set()
+        assert lattice_index.reachable_from_set([]) == set()
 
     def test_reaching_set(self, lattice_index):
-        reaching = queries.reaching_set(lattice_index, ["bottom-l", "bottom-r"])
+        reaching = lattice_index.reaching_set(["bottom-l", "bottom-r"])
         assert reaching == {"top", "left", "right", "bottom-l", "bottom-r"}
 
     def test_reaching_set_matches_union_of_predecessors(self, lattice_index):
@@ -140,15 +140,13 @@ class TestSetQueries:
             expected = set()
             for target in targets:
                 expected |= lattice_index.predecessors(target)
-            assert queries.reaching_set(lattice_index, targets) == expected
+            assert lattice_index.reaching_set(targets) == expected
 
     def test_any_reachable(self, lattice_index):
-        assert queries.any_reachable(lattice_index, ["left"], ["bottom"])
-        assert not queries.any_reachable(lattice_index,
-                                         ["bottom-l"], ["bottom-r"])
-        assert queries.any_reachable(lattice_index,
-                                     ["bottom-l", "left"], ["bottom"])
+        assert lattice_index.any_reachable(["left"], ["bottom"])
+        assert not lattice_index.any_reachable(["bottom-l"], ["bottom-r"])
+        assert lattice_index.any_reachable(["bottom-l", "left"], ["bottom"])
 
     def test_any_reachable_empty(self, lattice_index):
-        assert not queries.any_reachable(lattice_index, [], ["top"])
-        assert not queries.any_reachable(lattice_index, ["top"], [])
+        assert not lattice_index.any_reachable([], ["top"])
+        assert not lattice_index.any_reachable(["top"], [])
