@@ -10,8 +10,6 @@ from repro.core.hybrid import HybridTCIndex
 from repro.core.index import DEFAULT_GAP, IndexStats, IntervalTCIndex
 from repro.core.select import GraphStats, graph_stats, recommend_engine
 from repro.core.serialize import (
-    chain_from_dict,
-    chain_to_dict,
     frozen_from_dict,
     frozen_to_dict,
     hoplabel_from_dict,
@@ -20,7 +18,6 @@ from repro.core.serialize import (
     hybrid_to_dict,
     index_from_dict,
     index_to_dict,
-    save_chain_index,
     save_frozen_index,
     save_hoplabel_index,
     save_hybrid_index,
@@ -65,8 +62,6 @@ __all__ = [
     "all_tree_covers",
     "assign_postorder",
     "build_tree_cover",
-    "chain_from_dict",
-    "chain_to_dict",
     "check_laminar",
     "frozen_from_dict",
     "frozen_to_dict",
@@ -82,7 +77,6 @@ __all__ = [
     "merge_all",
     "propagate_intervals",
     "recommend_engine",
-    "save_chain_index",
     "save_frozen_index",
     "save_hoplabel_index",
     "save_hybrid_index",

@@ -31,10 +31,11 @@ File layout (all little-endian)::
     sections       64-byte-aligned payloads, zero-padded between
 
 Sections (ids in :data:`SECTION_NAMES`): node labels (an ``int64``
-array when every label is a non-negative int, else a compact JSON
-blob), postorder numbers, CSR offsets, interval lows/highs, the
-row-keyed lows, the reverse interval index (lo, hi, owner, prefix-max
-hi), and the optional label->rank lookup table.
+array when every label is a non-negative int, else a compact JSON blob
+read back through :func:`repro.graph.io.decode_label`), postorder
+numbers, CSR offsets, interval lows/highs, the row-keyed lows, the
+reverse interval index (lo, hi, owner, prefix-max hi), and the optional
+label->rank lookup table.
 
 Integrity comes in two tiers.  Structural validation — magic, version,
 header checksum, every section in bounds and size-consistent — is
@@ -76,6 +77,7 @@ from repro.core.frozen import FrozenTCIndex, _numpy, _rank_keys_fit_int32
 from repro.durability.atomic import RealFS, atomic_write_bytes
 from repro.errors import CorruptFileError, NodeNotFoundError, ReproError
 from repro.graph.digraph import Node
+from repro.graph.io import decode_labels
 
 PathLike = Union[str, Path]
 
@@ -491,6 +493,10 @@ def _blob_labels(data, header: _ParsedHeader) -> list:
         ) from error
     if not isinstance(labels, list):
         raise CorruptFileError(header_path(data), "label blob is not a list")
+    # A tuple label is stored as a nested array; without a second "[" in
+    # the blob no label needs decoding, and the per-label pass is skipped.
+    if blob.find(b"[", 1) != -1:
+        labels = decode_labels(labels)
     return labels
 
 

@@ -14,8 +14,9 @@ reconstruction — and only re-derives the reverse interval index with one
 O(m log m) sort.  Frozen documents are self-contained; a view loaded this
 way has no source index and can never go stale.
 
-Node labels must be JSON-representable (strings or numbers); the virtual
-root is encoded as ``None`` in the parent map.
+Node labels are strings, numbers, or tuples of these; every loader
+decodes them with :func:`repro.graph.io.decode_label`.  The virtual root
+is encoded as ``None`` in the parent map.
 """
 
 from __future__ import annotations
@@ -33,22 +34,20 @@ from repro.core.tree_cover import VIRTUAL_ROOT, TreeCover
 from repro.durability.atomic import atomic_write_text
 from repro.errors import CorruptFileError, ReproError
 from repro.graph.digraph import DiGraph
-from repro.graph.io import graph_from_dict, graph_to_dict
+from repro.graph.io import (decode_label, decode_labels, graph_from_dict,
+                            graph_to_dict)
 from repro.graph.traversal import topological_order
 
 FORMAT_VERSION = 1
 FROZEN_FORMAT_VERSION = 1
 HYBRID_FORMAT_VERSION = 1
 HOPLABEL_FORMAT_VERSION = 1
-CHAIN_FORMAT_VERSION = 1
 #: Document discriminator for frozen-buffer files.
 FROZEN_KIND = "frozen-tc-index"
 #: Document discriminator for hybrid (base + delta log) files.
 HYBRID_KIND = "hybrid-tc-index"
 #: Document discriminator for 2-hop label files.
 HOPLABEL_KIND = "hop-label-index"
-#: Document discriminator for chain-cover label files.
-CHAIN_KIND = "chain-tc-index"
 
 
 def _read_document(path: Union[str, Path]) -> dict:
@@ -138,7 +137,7 @@ def index_from_dict(document: dict) -> IntervalTCIndex:
     """Rebuild an index from :func:`index_to_dict` output.
 
     JSON converts non-string dict keys, so all per-node tables are stored
-    as pair lists; labels round-trip as long as they are strings/numbers.
+    as pair lists.
     """
     kind = document.get("kind")
     if kind is not None:
@@ -150,12 +149,13 @@ def index_from_dict(document: dict) -> IntervalTCIndex:
         raise ReproError(f"unsupported index document version {version!r}")
     graph: DiGraph = graph_from_dict(document["graph"])
 
-    parent = {node: (VIRTUAL_ROOT if stored is None else stored)
+    parent = {decode_label(node): (VIRTUAL_ROOT if stored is None
+                                   else decode_label(stored))
               for node, stored in document["parent"]}
     children: Dict = {VIRTUAL_ROOT: []}
     for node in graph.nodes():
         children.setdefault(node, [])
-    postorder = {node: _decode_number(number)
+    postorder = {decode_label(node): _decode_number(number)
                  for node, number in document["postorder"]}
     for node, chosen in parent.items():
         children.setdefault(chosen, []).append(node)
@@ -165,11 +165,13 @@ def index_from_dict(document: dict) -> IntervalTCIndex:
     cover = TreeCover(parent=parent, children=children, order=order,
                       policy=document["policy"])
 
-    tree_interval = {node: Interval(*(_decode_number(bound) for bound in bounds))
+    tree_interval = {decode_label(node):
+                     Interval(*(_decode_number(bound) for bound in bounds))
                      for node, bounds in document["tree_interval"]}
     intervals = {
-        node: IntervalSet(Interval(*(_decode_number(bound) for bound in interval))
-                          for interval in stored)
+        decode_label(node): IntervalSet(
+            Interval(*(_decode_number(bound) for bound in interval))
+            for interval in stored)
         for node, stored in document["intervals"]
     }
     labeling = Labeling(postorder=postorder, tree_interval=tree_interval,
@@ -220,7 +222,7 @@ def frozen_from_dict(document: dict) -> FrozenTCIndex:
     if version != FROZEN_FORMAT_VERSION:
         raise ReproError(f"unsupported frozen document version {version!r}")
     return FrozenTCIndex.from_buffers(
-        nodes=document["nodes"],
+        nodes=decode_labels(document["nodes"]),
         numbers=[_decode_number(number) for number in document["numbers"]],
         offsets=document["offsets"],
         lows=document["lows"],
@@ -300,9 +302,9 @@ def hybrid_from_dict(document: dict) -> "HybridTCIndex":
     settings = document.get("settings", {})
     return HybridTCIndex.restore(
         index, base,
-        delta_arcs=[(source, destination)
+        delta_arcs=[(decode_label(source), decode_label(destination))
                     for source, destination in delta["arcs"]],
-        delta_nodes=delta["nodes"],
+        delta_nodes=decode_labels(delta["nodes"]),
         delta_cost=delta["cost"],
         tainted=delta["tainted"],
         **settings,
@@ -350,7 +352,7 @@ def hoplabel_from_dict(document: dict) -> "HopLabelIndex":
         raise ReproError(
             f"unsupported hop-label document version {version!r}")
     return HopLabelIndex.from_labels(
-        document["nodes"], document["lin"], document["lout"])
+        decode_labels(document["nodes"]), document["lin"], document["lout"])
 
 
 def save_hoplabel_index(oracle: "HopLabelIndex",
@@ -359,56 +361,15 @@ def save_hoplabel_index(oracle: "HopLabelIndex",
     atomic_write_text(path, json.dumps(hoplabel_to_dict(oracle)))
 
 
-# ----------------------------------------------------------------------
-# chain-cover labels
-# ----------------------------------------------------------------------
-def chain_to_dict(index: "ChainCoverIndex") -> dict:
-    """A JSON-safe document holding chains and per-node chain minima."""
-    return {
-        "format_version": CHAIN_FORMAT_VERSION,
-        "kind": CHAIN_KIND,
-        "method": index.method,
-        "chains": [list(chain) for chain in index.chains],
-        "reach": [[node, sorted(entries.items())]
-                  for node, entries in index._reach.items()],
-    }
-
-
-def chain_from_dict(document: dict) -> "ChainCoverIndex":
-    """Rehydrate a chain-cover engine from :func:`chain_to_dict` output."""
-    from repro.core.chain_cover import ChainCoverIndex
-    if document.get("kind") != CHAIN_KIND:
-        raise ReproError(
-            "document does not hold chain-cover labels; "
-            "open it with repro.open_index")
-    version = document.get("format_version")
-    if version != CHAIN_FORMAT_VERSION:
-        raise ReproError(
-            f"unsupported chain-cover document version {version!r}")
-    chains = [list(chain) for chain in document["chains"]]
-    position_of = {node: (chain_id, sequence)
-                   for chain_id, chain in enumerate(chains)
-                   for sequence, node in enumerate(chain)}
-    reach = {node: {int(chain_id): int(sequence)
-                    for chain_id, sequence in entries}
-             for node, entries in document["reach"]}
-    return ChainCoverIndex(chains, position_of, reach,
-                           document.get("method", "greedy"))
-
-
-def save_chain_index(index: "ChainCoverIndex",
-                     path: Union[str, Path]) -> None:
-    """Write a chain-cover engine to ``path`` atomically."""
-    atomic_write_text(path, json.dumps(chain_to_dict(index)))
-
-
 def _load_any(path: Union[str, Path]):
     """Load whichever engine kind ``path`` holds (magic sniff + ``kind``).
 
     The dispatch behind :func:`repro.open_index`: binary RTCF containers
     are recognised by magic and opened through ``mmap``; JSON documents
     dispatch on their ``kind`` discriminator; documents without one are
-    mutable-index documents.
+    mutable-index documents.  A kind this version does not read (a
+    retired format such as the old chain-cover document) raises
+    :class:`~repro.errors.ReproError` naming it.
     """
     from repro.core.rtcf import load_rtcf, sniff_rtcf
     if sniff_rtcf(path):
@@ -421,6 +382,8 @@ def _load_any(path: Union[str, Path]):
         return _rebuild(path, hybrid_from_dict, document)
     if kind == HOPLABEL_KIND:
         return _rebuild(path, hoplabel_from_dict, document)
-    if kind == CHAIN_KIND:
-        return _rebuild(path, chain_from_dict, document)
+    if kind is not None:
+        raise ReproError(
+            f"{path}: unknown index document kind {kind!r}; rebuild the "
+            "index from its graph")
     return _rebuild(path, index_from_dict, document)

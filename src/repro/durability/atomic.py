@@ -4,7 +4,7 @@ Two things live here, deliberately free of any other ``repro`` imports:
 
 * :class:`RealFS` — a thin indirection over the ``os`` file API.  All
   durability-sensitive writes (WAL appends, checkpoint publication, the
-  plain JSON/RTCX savers) go through one of these objects, so the
+  JSON and RTCF savers) go through one of these objects, so the
   crash-injection shim (:class:`repro.testing.faults.FaultyFS`) can tear
   writes, drop renames, and kill the "process" at registered crash
   points by substituting itself.  On the real implementation every

@@ -34,6 +34,7 @@ from repro.durability import checkpoint as _checkpoint
 from repro.durability import wal as _wal
 from repro.errors import (CorruptFileError, RecoveryError, ReproError,
                           SimulatedCrash)
+from repro.graph.io import decode_label, decode_labels
 
 
 @dataclass
@@ -85,18 +86,20 @@ def apply_op(engine, op: list) -> None:
 
     Works on both engine classes.  ``renumber`` and ``merge`` address the
     interval representation, so on a hybrid they go to the write-through
-    index underneath (tainting the snapshot — still exact).
+    index underneath (tainting the snapshot — still exact).  Node
+    arguments are JSON-decoded labels, so tuples come back through
+    :func:`~repro.graph.io.decode_label`.
     """
     from repro.core.hybrid import HybridTCIndex
     kind = op[0] if op else None
     if kind == "add_node":
-        engine.add_node(op[1], op[2])
+        engine.add_node(decode_label(op[1]), decode_labels(op[2]))
     elif kind == "add_arc":
-        engine.add_arc(op[1], op[2])
+        engine.add_arc(decode_label(op[1]), decode_label(op[2]))
     elif kind == "remove_arc":
-        engine.remove_arc(op[1], op[2])
+        engine.remove_arc(decode_label(op[1]), decode_label(op[2]))
     elif kind == "remove_node":
-        engine.remove_node(op[1])
+        engine.remove_node(decode_label(op[1]))
     elif kind == "renumber":
         if isinstance(engine, HybridTCIndex):
             engine.index.renumber(op[1])

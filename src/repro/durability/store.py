@@ -21,8 +21,9 @@ trade the tail batch for throughput, see ``bench_durability.py``);
 ``keep_checkpoints`` retains older snapshot generations so a corrupted
 newest checkpoint degrades to a longer replay instead of data loss.
 
-Node labels must be JSON-representable (strings, numbers, bools,
-``None``) — the log and checkpoints are JSON documents.
+Node labels are strings, numbers, or tuples of these — the log and
+checkpoints are JSON documents, read back through
+:func:`repro.graph.io.decode_label`.
 """
 
 from __future__ import annotations

@@ -67,7 +67,7 @@ class StorageError(ReproError):
 class PersistenceError(ReproError):
     """A problem reading or writing a persisted artifact.
 
-    Covers index documents, RTCX binary files, write-ahead logs and
+    Covers index documents, RTCF binary snapshots, write-ahead logs and
     checkpoints.  Loaders never leak raw ``json.JSONDecodeError`` /
     ``KeyError`` / ``struct.error`` — they wrap them in this family so
     callers (and the CLI) can diagnose a bad file without a traceback.
@@ -79,8 +79,8 @@ class CorruptFileError(PersistenceError, StorageError):
 
     Bad magic, a checksum mismatch, truncation mid-record, or a document
     whose structure does not decode.  Carries the offending ``path`` and
-    a one-line ``detail``.  Also a :class:`StorageError` so existing
-    handlers around the RTCX reader keep working.
+    a one-line ``detail``.  Also a :class:`StorageError`, so a handler
+    for storage-layer failures sees damaged files too.
     """
 
     def __init__(self, path: object, detail: str) -> None:

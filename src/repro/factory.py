@@ -15,7 +15,6 @@ mutable doc      interval    load        load+freeze   load+wrap   build from gr
 frozen doc       frozen      error       load          error       error
 hybrid doc       hybrid      inner idx   inner+freeze  load        build from graph
 hoplabel doc     hoplabel    error       error         error       load / error
-chain doc        chain       error       error         error       error / load
 store directory  durable (inner engine per the store's config)
 ===============  ==========  ==========  ==========  ==========  =====================
 
@@ -70,7 +69,6 @@ _STORE_CONFIG = "store.json"
 _SNAPSHOT_PAYLOAD = {
     "frozen": "frozen buffers",
     "hoplabel": "2-hop labels",
-    "chain": "chain-cover labels",
 }
 
 

@@ -4,18 +4,36 @@ The base relation of the paper is a two-column table ``(source,
 destination)``; the natural on-disk form is a whitespace-separated edge
 list, one tuple per line, with ``#`` comments.  JSON round-tripping is also
 provided for graphs whose node labels are not plain strings.
+
+Every JSON-backed format (index documents, the write-ahead log,
+checkpoints, RTCF's label blob) shares one label rule: a node label is a
+string, a number, or a tuple of these.  JSON writes a tuple as an array,
+and :func:`decode_label` turns every array back into a tuple — a list can
+never be a node (it is unhashable), so the rule is unambiguous.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Union
+from typing import List, Union
 
 from repro.errors import GraphError
 from repro.graph.digraph import DiGraph
 
 PathLike = Union[str, Path]
+
+
+def decode_label(label):
+    """A node label as stored in JSON, with arrays turned back into tuples."""
+    if type(label) is list:
+        return tuple(decode_label(part) for part in label)
+    return label
+
+
+def decode_labels(labels) -> List:
+    """:func:`decode_label` over a list of labels."""
+    return [decode_label(label) for label in labels]
 
 
 def loads_edge_list(text: str) -> DiGraph:
@@ -74,12 +92,12 @@ def graph_to_dict(graph: DiGraph) -> dict:
 def graph_from_dict(document: dict) -> DiGraph:
     """Rebuild a graph from :func:`graph_to_dict` output.
 
-    JSON turns tuples into lists; labels are used exactly as found in the
-    document, so round-tripping through JSON requires string/number labels.
+    Labels go through :func:`decode_label`, so tuple labels come back as
+    tuples.
     """
-    graph = DiGraph(nodes=document.get("nodes", ()))
+    graph = DiGraph(nodes=decode_labels(document.get("nodes", ())))
     for source, destination in document.get("arcs", ()):
-        graph.add_arc(source, destination)
+        graph.add_arc(decode_label(source), decode_label(destination))
     return graph
 
 

@@ -16,7 +16,6 @@ from repro.storage.algebra import (
     Union,
 )
 from repro.storage.database import ClosureDatabase
-from repro.storage.diskindex import DiskIntervalIndex, write_index
 from repro.storage.model import (
     StorageComparison,
     compare_storage,
@@ -41,7 +40,6 @@ __all__ = [
     "BinaryRelation",
     "ClosureDatabase",
     "Compose",
-    "DiskIntervalIndex",
     "Difference",
     "Expression",
     "Intersect",
@@ -62,5 +60,4 @@ __all__ = [
     "full_closure_units",
     "inverse_closure_units",
     "relation_units",
-    "write_index",
 ]

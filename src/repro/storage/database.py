@@ -4,8 +4,8 @@ Ties the storage layer together the way the paper's Section 2 imagines a
 deployment: several named base relations, each optionally carrying a
 *materialised transitive-closure view* kept in sync through the Section 4
 incremental algorithms, an algebra engine for queries across relations,
-and durable persistence (edge lists for relations, the binary RTCX format
-for closures) in a directory.
+and persistence in a directory (edge lists for relations; closure views
+are recomputed on load).
 
 >>> db = ClosureDatabase()
 >>> db.create_relation("part_of", materialize=True)

@@ -3,21 +3,18 @@
 The decomposition algorithms themselves are covered by
 ``tests/baselines/test_chain_cover.py`` (which now exercises the same
 class through its historical ``ChainTCIndex`` name); this file covers
-what the promotion added: the full TCEngine surface, serialization, the
-width sandwich on seeded DAGs, and observability.
+what the promotion added: the full TCEngine surface, the width sandwich
+on seeded DAGs, and observability.
 """
 
 import random
 
 import pytest
 
-from repro import open_index
 from repro.core.chain_cover import (ChainCoverIndex,
                                     greedy_chain_decomposition,
                                     optimal_chain_decomposition)
 from repro.core.index import IntervalTCIndex
-from repro.core.serialize import (chain_from_dict, chain_to_dict,
-                                  save_chain_index)
 from repro.errors import NodeNotFoundError
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import random_dag
@@ -91,25 +88,6 @@ class TestWidthSandwich:
         covered = [node for chain in index.chains for node in chain]
         assert len(covered) == graph.num_nodes
         assert set(covered) == set(graph.nodes())
-
-
-class TestSerialization:
-    @pytest.mark.parametrize("method", ("greedy", "optimal"))
-    def test_dict_round_trip(self, method):
-        index = ChainCoverIndex.build(paper_graph(), method=method)
-        clone = chain_from_dict(chain_to_dict(index))
-        assert clone.stats()["method"] == method
-        for node in index.nodes():
-            assert clone.successors(node) == index.successors(node)
-            assert clone.predecessors(node) == index.predecessors(node)
-
-    def test_file_round_trip_via_open_index(self, tmp_path):
-        path = tmp_path / "chain.json"
-        save_chain_index(ChainCoverIndex.build(paper_graph()), path)
-        loaded = open_index(path)
-        assert isinstance(loaded, ChainCoverIndex)
-        assert loaded.reachable("a", "f")
-        assert loaded.num_chains == loaded.stats()["num_chains"]
 
 
 class TestObservability:

@@ -1,5 +1,6 @@
 """`repro.open_index` dispatch matrix, coercion rules, auto-selection."""
 
+import json
 import warnings
 
 import pytest
@@ -10,9 +11,8 @@ from repro.core.frozen import FrozenTCIndex
 from repro.core.hoplabel import HopLabelIndex
 from repro.core.hybrid import HybridTCIndex
 from repro.core.index import IntervalTCIndex
-from repro.core.serialize import (save_chain_index, save_frozen_index,
-                                  save_hoplabel_index, save_hybrid_index,
-                                  save_index)
+from repro.core.serialize import (save_frozen_index, save_hoplabel_index,
+                                  save_hybrid_index, save_index)
 from repro.durability.store import DurableTCIndex
 from repro.errors import ReproError
 from repro.graph.digraph import DiGraph
@@ -129,22 +129,26 @@ class TestFromDocuments:
         assert isinstance(engine, HopLabelIndex)
         assert engine.reachable("a", "d")
 
-    def test_chain_doc_follows_auto(self, tmp_path):
-        path = tmp_path / "chain.json"
-        save_chain_index(ChainCoverIndex.build(diamond()), path)
-        engine = open_index(path)
-        assert isinstance(engine, ChainCoverIndex)
-        assert engine.predecessors("d") == {"a", "b", "c", "d"}
-
     def test_label_docs_refuse_other_engines(self, tmp_path):
         hop_path = tmp_path / "hop.json"
         save_hoplabel_index(HopLabelIndex.build(diamond()), hop_path)
         with pytest.raises(ReproError, match="2-hop labels"):
             open_index(hop_path, engine="interval")
-        chain_path = tmp_path / "chain.json"
-        save_chain_index(ChainCoverIndex.build(diamond()), chain_path)
-        with pytest.raises(ReproError, match="chain-cover labels"):
-            open_index(chain_path, engine="frozen")
+
+    def test_retired_chain_document_names_its_kind(self, tmp_path):
+        """The chain-cover document format is retired; opening one says
+        which kind it is and how to get an engine back."""
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps({
+            "format_version": 1, "kind": "chain-tc-index",
+            "method": "greedy", "chains": [["a", "b", "d"], ["c"]],
+            "reach": [["a", [[0, 0], [1, 0]]]]}))
+        with pytest.raises(ReproError) as caught:
+            open_index(path)
+        message = str(caught.value)
+        assert "'chain-tc-index'" in message
+        assert "rebuild the index from its graph" in message
+        assert "open it with repro.open_index" not in message
 
     def test_mutable_doc_coerces_to_label_engines(self, tmp_path):
         path = tmp_path / "idx.json"

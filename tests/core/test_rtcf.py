@@ -68,6 +68,18 @@ class TestRoundTrip:
         save_frozen_index(load_rtcf(path), second, format="rtcf")
         assert open(second, "rb").read() == blob
 
+    def test_tuple_labels_round_trip(self, tmp_path):
+        """Tuple labels (JSON arrays in the label blob) come back as
+        tuples; a string that merely contains "[" stays a string."""
+        graph = DiGraph([(("s", 0), ("t", 1)), (("t", 1), ("t", 2)),
+                         (("t", 2), "x[1]")])
+        path, frozen = saved(tmp_path, graph)
+        reopened = load_rtcf(path)
+        assert reopened.reachable(("s", 0), ("t", 2))
+        assert reopened.successors(("t", 1)) == {("t", 1), ("t", 2), "x[1]"}
+        assert set(reopened.nodes()) == set(graph.nodes())
+        assert rtcf_bytes(reopened) == rtcf_bytes(frozen)
+
     def test_empty_index(self, tmp_path):
         path, frozen = saved(tmp_path, DiGraph())
         reopened = load_rtcf(path)

@@ -4,15 +4,21 @@ import json
 
 import pytest
 
+from repro.core.hoplabel import HopLabelIndex
+from repro.core.hybrid import HybridTCIndex
 from repro.core.index import IntervalTCIndex
 from repro.core.serialize import (
     index_from_dict,
     index_to_dict,
+    save_frozen_index,
+    save_hoplabel_index,
+    save_hybrid_index,
     save_index,
 )
 from repro.factory import open_index
 from repro.errors import ReproError
-from repro.graph.generators import random_dag
+from repro.graph.generators import bipartite_worst_case, random_dag
+from repro.graph.traversal import topological_order
 
 
 def assert_equivalent(first, second):
@@ -80,3 +86,65 @@ class TestVersioning:
         del document["format_version"]
         with pytest.raises(ReproError):
             index_from_dict(document)
+
+
+
+def _through_rtcf(tmp_path, index):
+    path = tmp_path / "closure.rtcf"
+    save_frozen_index(index.freeze(), path, format="rtcf")
+    return index, open_index(path)
+
+
+def _through_mutable_json(tmp_path, index):
+    save_index(index, tmp_path / "closure.json")
+    return index, open_index(tmp_path / "closure.json")
+
+
+def _through_frozen_json(tmp_path, index):
+    save_frozen_index(index.freeze(), tmp_path / "frozen.json")
+    return index, open_index(tmp_path / "frozen.json")
+
+
+def _through_hybrid_json(tmp_path, index):
+    """The delta log holds a tuple node and tuple arcs."""
+    hybrid = HybridTCIndex.build(index.graph.copy(), max_delta=10**6,
+                                 max_ratio=10**6)
+    hybrid.add_node(("late", 0), [("s", 0), ("s", 1)])
+    save_hybrid_index(hybrid, tmp_path / "hybrid.json")
+    return hybrid, open_index(tmp_path / "hybrid.json")
+
+
+def _through_hoplabel_json(tmp_path, index):
+    save_hoplabel_index(HopLabelIndex.build(index.graph),
+                        tmp_path / "hop.json")
+    return index, open_index(tmp_path / "hop.json")
+
+
+def _through_durable_store(tmp_path, index):
+    """Tuple ``add_node``s land in a checkpoint and in the WAL tail."""
+    directory = tmp_path / "store"
+    store = open_index(directory, durable=True)
+    order = topological_order(index.graph)
+    for position, node in enumerate(order):
+        store.add_node(node, sorted(index.graph.predecessors(node)))
+        if position == len(order) // 2:
+            store.checkpoint()
+    store.close()
+    return index, open_index(directory, durable=True)
+
+
+@pytest.mark.parametrize("route", [
+    _through_rtcf, _through_mutable_json, _through_frozen_json,
+    _through_hybrid_json, _through_hoplabel_json, _through_durable_store,
+], ids=lambda route: route.__name__[len("_through_"):])
+def test_tuple_labels_round_trip(tmp_path, route):
+    """Tuple labels come back as tuples from every saver and the store."""
+    source, reopened = route(
+        tmp_path, IntervalTCIndex.build(bipartite_worst_case(3, 3)))
+    assert set(reopened.nodes()) == set(source.nodes())
+    for node in source.nodes():
+        assert reopened.successors(node) == source.successors(node)
+        assert reopened.predecessors(node) == source.predecessors(node)
+    assert reopened.reachable(("s", 2), ("t", 0))
+    if hasattr(reopened, "close"):
+        reopened.close()

@@ -21,7 +21,6 @@ from repro.durability.wal import RECORD_HEADER, encode_record
 from repro.errors import (CorruptFileError, PersistenceError, RecoveryError,
                           ReproError)
 from repro.graph.digraph import DiGraph
-from repro.storage.diskindex import DiskIntervalIndex, write_index
 from repro.testing.faults import flip_byte
 from repro.testing.oracle import SetClosureOracle
 
@@ -204,7 +203,8 @@ class TestCheckpointDamage:
 
 
 class TestCorruptPlainFiles:
-    """Satellite: the JSON and RTCX loaders raise typed errors."""
+    """The JSON loaders raise typed errors (RTCF's corruption matrix
+    lives in ``tests/core/test_rtcf.py``)."""
 
     def build_index(self):
         graph = DiGraph(arcs=[("a", "b"), ("b", "c"), ("a", "d")])
@@ -235,24 +235,6 @@ class TestCorruptPlainFiles:
             json.dump([1, 2, 3], handle)
         with pytest.raises(CorruptFileError):
             open_index(path)
-
-    def test_rtcx_bad_magic(self, tmp_path):
-        path = str(tmp_path / "closure.rtcx")
-        write_index(self.build_index(), path)
-        flip_byte(path, 0)
-        with pytest.raises(CorruptFileError):
-            DiskIntervalIndex.open(path)
-
-    def test_rtcx_truncated_body(self, tmp_path):
-        """Cut inside the label section (the heap is read lazily, so the
-        damage must hit one of the eagerly-loaded sections)."""
-        from repro.storage.diskindex import _HEADER
-        path = str(tmp_path / "closure.rtcx")
-        write_index(self.build_index(), path)
-        with open(path, "r+b") as handle:
-            handle.truncate(_HEADER.size + 4)
-        with pytest.raises(CorruptFileError):
-            DiskIntervalIndex.open(path)
 
     def test_corrupt_error_is_repro_error(self):
         assert issubclass(CorruptFileError, ReproError)

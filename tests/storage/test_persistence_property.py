@@ -5,11 +5,10 @@ import string
 from hypothesis import given, settings, strategies as st
 
 from repro.core.index import IntervalTCIndex
+from repro.core.rtcf import load_rtcf, save_rtcf
 from repro.core.serialize import index_from_dict, index_to_dict
 from repro.graph.digraph import DiGraph
 from repro.graph.io import dumps_edge_list, graph_from_dict, graph_to_dict, loads_edge_list
-from repro.storage.diskindex import DiskIntervalIndex, write_index
-from repro.storage.pager import BufferPool
 
 labels = st.text(alphabet=string.ascii_lowercase + string.digits,
                  min_size=1, max_size=6)
@@ -53,19 +52,20 @@ def test_json_index_round_trip(graph, gap, merge):
 
 
 @settings(max_examples=20, deadline=None)
-@given(labelled_dags(), st.sampled_from([64, 256]))
-def test_rtcx_round_trip(graph, page_size):
+@given(labelled_dags(), st.sampled_from([1, 32]))
+def test_rtcf_round_trip(graph, gap):
     import tempfile
     from pathlib import Path
-    index = IntervalTCIndex.build(graph, gap=1)
+    index = IntervalTCIndex.build(graph, gap=gap)
     with tempfile.TemporaryDirectory() as scratch:
-        path = Path(scratch) / "index.rtcx"
-        write_index(index, path, page_size=page_size)
-        with DiskIntervalIndex.open(path, pool=BufferPool(4)) as disk:
-            assert len(disk) == len(index)
-            for node in graph:
-                assert disk.successors(node) == index.successors(node)
-                assert disk.postorder_of(node) == index.postorder[node]
+        path = Path(scratch) / "index.rtcf"
+        save_rtcf(index.freeze(), path)
+        mapped = load_rtcf(path, verify=True)
+        assert len(mapped) == len(index)
+        for node in graph:
+            assert mapped.successors(node) == index.successors(node)
+            assert mapped.predecessors(node) == index.predecessors(node)
+        mapped.close()
 
 
 @settings(max_examples=20)

@@ -1,7 +1,7 @@
 """Cross-subsystem integration scenarios.
 
 Each test wires several layers together the way a real deployment would:
-graph generators feed indexes, indexes feed paged/disk storage, the KB
+graph generators feed indexes, indexes feed disk snapshots, the KB
 layers sit on the taxonomy, the algebra queries the relations, and
 everything round-trips through persistence.
 """
@@ -14,7 +14,7 @@ from repro.core.batch import apply_diff
 from repro.core.bidirectional import BidirectionalTCIndex
 from repro.core.condensation import CondensedIndex
 from repro.core.index import IntervalTCIndex
-from repro.core.serialize import save_index
+from repro.core.serialize import save_frozen_index, save_index
 from repro.factory import open_index
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import random_hierarchy
@@ -27,8 +27,6 @@ from repro.storage import (
     MaterializedClosureView,
     Rel,
 )
-from repro.storage.diskindex import DiskIntervalIndex, write_index
-from repro.storage.pager import BufferPool
 
 
 class TestIndexLifecycle:
@@ -36,8 +34,6 @@ class TestIndexLifecycle:
 
     def test_full_lifecycle(self, tmp_path):
         rng = random.Random(42)
-        # String labels throughout: JSON persistence does not preserve
-        # tuple/int label types (documented in repro.core.serialize).
         base = random_hierarchy(120, rng=7)
         graph = DiGraph(
             nodes=(f"n{node}" for node in base.nodes()),
@@ -61,14 +57,13 @@ class TestIndexLifecycle:
         reloaded.check_invariants()
         reloaded.verify()
 
-        # Freeze to the binary format and serve queries through a pool.
-        rtcx_path = tmp_path / "lifecycle.rtcx"
-        write_index(reloaded, rtcx_path)
-        pool = BufferPool(8)
-        with DiskIntervalIndex.open(rtcx_path, pool=pool) as disk:
-            for node in list(reloaded.nodes())[:30]:
-                assert disk.successors(node) == reloaded.successors(node)
-        assert pool.counters.logical_reads > 0
+        # Freeze to the binary format and serve queries off the map.
+        rtcf_path = tmp_path / "lifecycle.rtcf"
+        save_frozen_index(reloaded.freeze(), rtcf_path, format="rtcf")
+        mapped = open_index(rtcf_path)
+        for node in list(reloaded.nodes())[:30]:
+            assert mapped.successors(node) == reloaded.successors(node)
+            assert mapped.predecessors(node) == reloaded.predecessors(node)
 
 
 class TestKnowledgeBaseStack:
@@ -187,8 +182,8 @@ class TestDeterminismAcrossLayers:
         def build_bytes(tag: str) -> bytes:
             graph = DiGraph([("r", "a"), ("r", "b"), ("a", "c"), ("b", "c")])
             index = IntervalTCIndex.build(graph, gap=4)
-            path = tmp_path / f"{tag}.rtcx"
-            write_index(index, path)
+            path = tmp_path / f"{tag}.rtcf"
+            save_frozen_index(index.freeze(), path, format="rtcf")
             return path.read_bytes()
 
         assert build_bytes("first") == build_bytes("second")
