@@ -28,7 +28,6 @@ from repro.core import (
     CondensedIndex,
     FrozenTCIndex,
     GraphStats,
-    HopLabelIndex,
     HybridTCIndex,
     Interval,
     IntervalSet,
@@ -66,7 +65,6 @@ __all__ = [
     "FrozenTCIndex",
     "GraphError",
     "GraphStats",
-    "HopLabelIndex",
     "HybridTCIndex",
     "IndexStateError",
     "Interval",

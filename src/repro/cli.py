@@ -74,12 +74,12 @@ def _load_engine(path: str, engine: Optional[str]):
 def _add_engine_option(command) -> None:
     command.add_argument(
         "--engine",
-        choices=("dict", "frozen", "hybrid", "hoplabel", "chain"),
+        choices=("dict", "frozen", "hybrid", "chain"),
         default=None,
         help="query engine: 'dict' (the updatable interval-set index), "
              "'frozen' (flat-array snapshot), 'hybrid' (frozen base + "
-             "delta overlay), 'hoplabel' (2-hop hub labels), or 'chain' "
-             "(chain-cover labels; default follows the file)")
+             "delta overlay), or 'chain' (chain-cover labels; default "
+             "follows the file)")
 
 
 def _add_durable_option(command) -> None:

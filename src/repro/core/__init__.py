@@ -5,21 +5,17 @@ from repro.core.chain_cover import ChainCoverIndex
 from repro.core.condensation import CondensedIndex
 from repro.core.engine import EngineCapabilities, TCEngine
 from repro.core.frozen import FrozenTCIndex
-from repro.core.hoplabel import HopLabelIndex
 from repro.core.hybrid import HybridTCIndex
 from repro.core.index import DEFAULT_GAP, IndexStats, IntervalTCIndex
 from repro.core.select import GraphStats, graph_stats, recommend_engine
 from repro.core.serialize import (
     frozen_from_dict,
     frozen_to_dict,
-    hoplabel_from_dict,
-    hoplabel_to_dict,
     hybrid_from_dict,
     hybrid_to_dict,
     index_from_dict,
     index_to_dict,
     save_frozen_index,
-    save_hoplabel_index,
     save_hybrid_index,
     save_index,
 )
@@ -48,7 +44,6 @@ __all__ = [
     "EngineCapabilities",
     "FrozenTCIndex",
     "GraphStats",
-    "HopLabelIndex",
     "HybridTCIndex",
     "IndexStats",
     "Interval",
@@ -66,8 +61,6 @@ __all__ = [
     "frozen_from_dict",
     "frozen_to_dict",
     "graph_stats",
-    "hoplabel_from_dict",
-    "hoplabel_to_dict",
     "hybrid_from_dict",
     "hybrid_to_dict",
     "index_from_dict",
@@ -78,7 +71,6 @@ __all__ = [
     "propagate_intervals",
     "recommend_engine",
     "save_frozen_index",
-    "save_hoplabel_index",
     "save_hybrid_index",
     "save_index",
 ]

@@ -1,18 +1,17 @@
 """The shared query-engine protocol, and the base class that derives it.
 
-Six engines answer the same reachability questions with different
+Five engines answer the same reachability questions with different
 trade-offs: :class:`~repro.core.index.IntervalTCIndex` (updatable,
 Section 4 algorithms), :class:`~repro.core.frozen.FrozenTCIndex`
 (read-only flat arrays, mapped from disk as
 :class:`~repro.core.rtcf.MappedFrozenTCIndex`),
 :class:`~repro.core.hybrid.HybridTCIndex` (frozen base + delta overlay),
-:class:`~repro.core.hoplabel.HopLabelIndex` (2-hop hub labels),
 :class:`~repro.core.chain_cover.ChainCoverIndex` (chain decomposition)
 and :class:`~repro.durability.store.DurableTCIndex` (crash-safe facade
 over one of the others).  :class:`TCEngine` is the structural type they
 all satisfy: helper code (:mod:`repro.core.queries`), the CLI, and the
 observability layer are written against it, so instrumentation and
-routing attach at one seam instead of six divergent class surfaces.
+routing attach at one seam instead of five divergent class surfaces.
 
 The paper needs two primitives from a compressed closure: Lemma 1's
 range test (``reachable``) and decoding a node's intervals into its
@@ -48,7 +47,7 @@ class EngineCapabilities:
     """What an engine can do, for dispatch without ``isinstance``.
 
     ``kind`` is the engine's :func:`repro.open_index` name ("interval",
-    "frozen", "hybrid", "hoplabel", "chain", "durable", ...).
+    "frozen", "hybrid", "chain", "durable", ...).
     ``supports_updates`` — accepts add/remove mutations after build.
     ``supports_batch`` — batch calls run a native fast path (vectorised
     or routed), not just a loop over the single-op form.

@@ -14,14 +14,14 @@ is one-sided: the chain-cover engine posts the lowest total on *every*
 large shape — its greedy decomposition is the cheapest build pass and a
 point query is a single dict probe —
 
-======================  ==========================================  ========
-regime                  BENCH_engines.json cell (total seconds)     winner
-======================  ==========================================  ========
-deep chain              chain 0.069 / interval 0.264 / frozen 0.30  chain
-bushy hierarchy         chain 0.157 / interval 0.391 / hop 0.405    chain
-bipartite (Fig. 3.6)    chain 0.014 / interval 0.059 / frozen 0.07  chain
-sparse mid-depth DAG    chain 0.102 / hoplabel 0.191 / interval     chain
-======================  ==========================================  ========
+======================  ============================================  ========
+regime                  BENCH_engines.json cell (total seconds)       winner
+======================  ============================================  ========
+deep chain              chain 0.151 / frozen 0.598 / interval 0.603   chain
+bushy hierarchy         chain 0.284 / interval 0.889 / frozen 0.992   chain
+bipartite (Fig. 3.6)    chain 0.034 / frozen 0.113 / interval 0.132   chain
+sparse mid-depth DAG    chain 0.150 / interval 0.501 / frozen 0.528   chain
+======================  ============================================  ========
 
 — so the rule has exactly one other branch: graphs under
 :data:`THRESHOLDS` ``small_nodes`` keep the updatable interval index,
@@ -30,10 +30,10 @@ interval index is the only from-graph engine that accepts updates.
 
 The engines auto never picks still earn their keep on objectives the
 wall-time race does not score: ``frozen`` has vectorised batch reads
-and the mmap'd RTCF restart path; ``hoplabel`` holds the smallest label
-sets on sparse mid-depth DAGs (87k entries vs chain's 163k in the
-``sparse_dag`` cell); ``interval`` is the only updatable index.  Ask
-for them explicitly — ``open_index(graph, engine="frozen")``.
+and the mmap'd RTCF restart path; ``interval`` is the only updatable
+index, and its labels are smaller than chain's on ``bushy`` (232k
+storage units vs 867k) and ``sparse_dag`` (111k vs 163k).  Ask for
+them explicitly — ``open_index(graph, engine="frozen")``.
 """
 
 from __future__ import annotations

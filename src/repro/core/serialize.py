@@ -41,13 +41,10 @@ from repro.graph.traversal import topological_order
 FORMAT_VERSION = 1
 FROZEN_FORMAT_VERSION = 1
 HYBRID_FORMAT_VERSION = 1
-HOPLABEL_FORMAT_VERSION = 1
 #: Document discriminator for frozen-buffer files.
 FROZEN_KIND = "frozen-tc-index"
 #: Document discriminator for hybrid (base + delta log) files.
 HYBRID_KIND = "hybrid-tc-index"
-#: Document discriminator for 2-hop label files.
-HOPLABEL_KIND = "hop-label-index"
 
 
 def _read_document(path: Union[str, Path]) -> dict:
@@ -321,46 +318,6 @@ def _load_hybrid_index(path: Union[str, Path]) -> "HybridTCIndex":
     return _rebuild(path, hybrid_from_dict, _read_document(path))
 
 
-# ----------------------------------------------------------------------
-# 2-hop labels
-# ----------------------------------------------------------------------
-def hoplabel_to_dict(oracle: "HopLabelIndex") -> dict:
-    """A JSON-safe document holding the oracle's Lin/Lout label lists."""
-    labels = oracle.to_labels()
-    return {
-        "format_version": HOPLABEL_FORMAT_VERSION,
-        "kind": HOPLABEL_KIND,
-        "nodes": labels["nodes"],
-        "lin": labels["lin"],
-        "lout": labels["lout"],
-    }
-
-
-def hoplabel_from_dict(document: dict) -> "HopLabelIndex":
-    """Rehydrate a 2-hop oracle from :func:`hoplabel_to_dict` output.
-
-    The label lists are adopted as-is; only the inverted cluster lists
-    (for set-valued queries) are re-derived — one linear pass.
-    """
-    from repro.core.hoplabel import HopLabelIndex
-    if document.get("kind") != HOPLABEL_KIND:
-        raise ReproError(
-            "document does not hold 2-hop labels; "
-            "open it with repro.open_index")
-    version = document.get("format_version")
-    if version != HOPLABEL_FORMAT_VERSION:
-        raise ReproError(
-            f"unsupported hop-label document version {version!r}")
-    return HopLabelIndex.from_labels(
-        decode_labels(document["nodes"]), document["lin"], document["lout"])
-
-
-def save_hoplabel_index(oracle: "HopLabelIndex",
-                        path: Union[str, Path]) -> None:
-    """Write a 2-hop oracle to ``path`` atomically."""
-    atomic_write_text(path, json.dumps(hoplabel_to_dict(oracle)))
-
-
 def _load_any(path: Union[str, Path]):
     """Load whichever engine kind ``path`` holds (magic sniff + ``kind``).
 
@@ -368,8 +325,8 @@ def _load_any(path: Union[str, Path]):
     are recognised by magic and opened through ``mmap``; JSON documents
     dispatch on their ``kind`` discriminator; documents without one are
     mutable-index documents.  A kind this version does not read (a
-    retired format such as the old chain-cover document) raises
-    :class:`~repro.errors.ReproError` naming it.
+    retired format such as the old chain-cover or 2-hop label document)
+    raises :class:`~repro.errors.ReproError` naming it.
     """
     from repro.core.rtcf import load_rtcf, sniff_rtcf
     if sniff_rtcf(path):
@@ -380,8 +337,6 @@ def _load_any(path: Union[str, Path]):
         return _rebuild(path, frozen_from_dict, document)
     if kind == HYBRID_KIND:
         return _rebuild(path, hybrid_from_dict, document)
-    if kind == HOPLABEL_KIND:
-        return _rebuild(path, hoplabel_from_dict, document)
     if kind is not None:
         raise ReproError(
             f"{path}: unknown index document kind {kind!r}; rebuild the "

@@ -7,16 +7,15 @@ wires observability into whatever it built.
 
 Dispatch matrix (rows: what ``source`` holds; columns: ``engine=``):
 
-===============  ==========  ==========  ==========  ==========  =====================
-source           ``auto``    ``interval``  ``frozen``  ``hybrid``  ``hoplabel``/``chain``
-===============  ==========  ==========  ==========  ==========  =====================
+===============  ==========  ==========  ==========  ==========  ================
+source           ``auto``    ``interval``  ``frozen``  ``hybrid``  ``chain``
+===============  ==========  ==========  ==========  ==========  ================
 graph/edge list  *stats* [1] build       build+freeze  build+wrap  label build
 mutable doc      interval    load        load+freeze   load+wrap   build from graph
 frozen doc       frozen      error       load          error       error
 hybrid doc       hybrid      inner idx   inner+freeze  load        build from graph
-hoplabel doc     hoplabel    error       error         error       load / error
 store directory  durable (inner engine per the store's config)
-===============  ==========  ==========  ==========  ==========  =====================
+===============  ==========  ==========  ==========  ==========  ================
 
 [1] For graph and edge-list sources ``engine="auto"`` consults
 :func:`repro.recommend_engine` over :func:`repro.graph_stats` — the
@@ -37,7 +36,7 @@ Typical use::
 
     engine = open_index("closure.json")                  # follows the file
     frozen = open_index(graph, engine="frozen")          # build + compile
-    oracle = open_index(graph, engine="hoplabel")        # 2-hop labels
+    labels = open_index(graph, engine="chain")           # chain cover
     store = open_index("store/", durable=True)           # crash-safe
     registry = MetricsRegistry()
     engine = open_index("closure.json", metrics=registry)
@@ -59,17 +58,13 @@ __all__ = ["open_index", "ENGINES", "GRAPH_ENGINE_BUILDERS"]
 
 #: Accepted ``engine=`` values (``"dict"`` is the CLI's historical alias
 #: for ``"interval"``).
-ENGINES = ("auto", "interval", "dict", "frozen", "hybrid", "hoplabel",
-           "chain")
+ENGINES = ("auto", "interval", "dict", "frozen", "hybrid", "chain")
 
 #: The config file that marks a directory as a durable store.
 _STORE_CONFIG = "store.json"
 
 #: How a compiled snapshot describes its payload in coercion errors.
-_SNAPSHOT_PAYLOAD = {
-    "frozen": "frozen buffers",
-    "hoplabel": "2-hop labels",
-}
+_SNAPSHOT_PAYLOAD = {"frozen": "frozen buffers"}
 
 
 def _build_interval(graph, *, gap, **kwargs):
@@ -98,15 +93,6 @@ def _build_hybrid(graph, *, gap, **kwargs):
         IntervalTCIndex.build(graph, gap=gap, **kwargs))
 
 
-def _build_hoplabel(graph, *, gap, **kwargs):
-    if kwargs:
-        raise ReproError(
-            f"engine='hoplabel' accepts no build options; got "
-            f"{sorted(kwargs)}")
-    from repro.core.hoplabel import HopLabelIndex
-    return HopLabelIndex.build(graph)
-
-
 def _build_chain(graph, *, gap, **kwargs):
     from repro.core.chain_cover import ChainCoverIndex
     return ChainCoverIndex.build(graph, **kwargs)
@@ -120,7 +106,6 @@ GRAPH_ENGINE_BUILDERS = {
     "interval": _build_interval,
     "frozen": _build_frozen,
     "hybrid": _build_hybrid,
-    "hoplabel": _build_hoplabel,
     "chain": _build_chain,
 }
 
@@ -204,12 +189,11 @@ def open_index(source, *, engine: str = "auto",
 
     ``engine`` selects the representation: ``"interval"`` (updatable),
     ``"frozen"`` (compiled flat arrays), ``"hybrid"`` (frozen base +
-    delta overlay), ``"hoplabel"`` (2-hop hub labels) or ``"chain"``
-    (chain-cover labels).  ``"auto"`` follows a saved document's kind;
-    for graph and edge-list sources it picks from cheap graph statistics
-    (:func:`repro.recommend_engine`).  ``durable=True`` forces the
-    crash-safe store (``None`` auto-detects a store directory, ``False``
-    forbids one).  ``metrics`` (a
+    delta overlay) or ``"chain"`` (chain-cover labels).  ``"auto"``
+    follows a saved document's kind; for graph and edge-list sources it
+    picks from cheap graph statistics (:func:`repro.recommend_engine`).
+    ``durable=True`` forces the crash-safe store (``None`` auto-detects
+    a store directory, ``False`` forbids one).  ``metrics`` (a
     :class:`~repro.obs.metrics.MetricsRegistry`) and ``tracer`` (a
     :class:`~repro.obs.tracing.QueryTracer`) attach observability to the
     returned engine and everything nested inside it.
@@ -231,7 +215,7 @@ def open_index(source, *, engine: str = "auto",
             durable = _is_store_directory(path)
         if durable:
             from repro.durability.store import DurableTCIndex
-            if engine in ("frozen", "hoplabel", "chain"):
+            if engine in ("frozen", "chain"):
                 raise ReproError(
                     "durable stores persist a mutable op-log; "
                     f"engine={engine!r} cannot be journalled — choose "

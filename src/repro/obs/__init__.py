@@ -8,12 +8,11 @@ Dependency-free.  Four pieces:
   ring-buffer retention;
 * :mod:`repro.obs.instrument` — the one seam (:func:`attach`,
   :func:`instrumented`) wiring both into every engine: the interval,
-  frozen (and mmap'd RTCF), hybrid, 2-hop label, chain-cover and durable
-  engines.  The query methods that
-  :class:`~repro.core.engine.EngineBase` derives (``iter_successors``,
-  ``count_successors``, the ``*_many`` forms and the set semijoins) are
-  instrumented there once, so an engine that inherits them reports
-  them like its own;
+  frozen (and mmap'd RTCF), hybrid, chain-cover and durable engines.
+  The query methods that :class:`~repro.core.engine.EngineBase` derives
+  (``iter_successors``, ``count_successors``, the ``*_many`` forms and
+  the set semijoins) are instrumented there once, so an engine that
+  inherits them reports them like its own;
 * :mod:`repro.obs.export` — human table, JSON, Prometheus text.
 
 Typical use::

@@ -250,7 +250,7 @@ def attach(engine, *, metrics: Optional[MetricsRegistry] = None,
             _register_frozen_gauges(registry, engine, label)
         return engine
 
-    # Self-registering engines (hoplabel, chain, future families) own
+    # Self-registering engines (chain, future families) own
     # their gauge vocabulary — no per-class knowledge needed here.
     register = getattr(engine, "_register_gauges", None)
     if register is not None:

@@ -93,8 +93,7 @@ class ServeState:
     * an :class:`IntervalTCIndex` — wrapped into a hybrid so the serve
       path is identical;
     * any compiled snapshot — a :class:`FrozenTCIndex` (including
-      mmap-backed RTCF views), a
-      :class:`~repro.core.hoplabel.HopLabelIndex`, or a
+      mmap-backed RTCF views) or a
       :class:`~repro.core.chain_cover.ChainCoverIndex` — a read-only
       service: the snapshot is the engine itself, forever epoch 0, and
       every write draws a ``read-only`` error;
@@ -140,11 +139,10 @@ class ServeState:
         if not hasattr(engine, "capabilities"):
             raise ReproError(
                 f"cannot serve a {type(engine).__name__}: expected a "
-                "TCEngine (hybrid, interval, frozen, hoplabel, chain, "
-                "or durable)")
+                "TCEngine (hybrid, interval, frozen, chain, or durable)")
         caps = engine.capabilities()
         if not caps.supports_updates:
-            # Frozen buffers, 2-hop labels, chain-cover labels: the
+            # Frozen buffers, chain-cover labels: the
             # engine *is* its own immutable snapshot.
             return None, None, engine
         if caps.durable:

@@ -68,12 +68,12 @@ MUTATING_KINDS = frozenset(
 OP_KINDS = MUTATING_KINDS | {"freeze", "query", "compact"}
 
 #: Default differential matrix: frozen + live hybrid mirror + rebuilds +
-#: every baseline (``hybrid-delta`` rebuilds with a live overlay) + the
-#: label engines (``hoplabel``; ``chain`` rides in via ``baselines``).
+#: every baseline, the chain-cover label engine included
+#: (``hybrid-delta`` rebuilds with a live overlay).
 DEFAULT_ENGINES: Tuple[str, ...] = ("frozen", "hybrid", "rebuild",
                                     "rebuild-merged", "rebuild-vectorized",
                                     "rebuild-frozen-direct", "rtcf",
-                                    "baselines", "hybrid-delta", "hoplabel")
+                                    "baselines", "hybrid-delta")
 
 #: Compaction threshold of the live hybrid mirror: small enough that a
 #: fuzz run crosses it many times, so freeze→mutate→query→compact

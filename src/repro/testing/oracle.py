@@ -177,11 +177,6 @@ def _build_chain(graph: DiGraph):
     return ChainTCIndex.build(graph, "greedy")
 
 
-def _build_hoplabel(graph: DiGraph):
-    from repro.core.hoplabel import HopLabelIndex
-    return HopLabelIndex.build(graph)
-
-
 def _build_condensed(graph: DiGraph):
     from repro.core.condensation import CondensedIndex
     return CondensedIndex.build(graph)
@@ -372,7 +367,6 @@ ENGINE_FACTORIES: Dict[str, Callable[[DiGraph], object]] = {
     "pointer": _build_pointer,
     "inverse": _build_inverse,
     "chain": _build_chain,
-    "hoplabel": _build_hoplabel,
     "condensed": _build_condensed,
     "hybrid-delta": _build_hybrid_delta,
     "durable": _build_durable,

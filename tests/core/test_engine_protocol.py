@@ -1,8 +1,7 @@
 """TCEngine conformance: every engine shares one query surface.
 
-Parametrized over the mutable, frozen, hybrid, durable, RTCF, 2-hop
-label and chain-cover engines:
-method presence (``isinstance`` against the runtime-checkable protocol),
+Parametrized over the mutable, frozen, hybrid, durable, RTCF and
+chain-cover engines: method presence (``isinstance`` against the runtime-checkable protocol),
 exact signature equality via :func:`inspect.signature`, shared reflexive
 semantics, empty-graph edge cases, batch-equals-singles, and the
 observability contract (counters increment, histograms record, a
@@ -22,8 +21,7 @@ from repro.errors import NodeNotFoundError
 from repro.graph.digraph import DiGraph
 from repro.obs import MetricsRegistry, QueryTracer, attach
 
-ENGINE_NAMES = ("interval", "frozen", "hybrid", "durable", "rtcf",
-                "hoplabel", "chain")
+ENGINE_NAMES = ("interval", "frozen", "hybrid", "durable", "rtcf", "chain")
 
 #: The query surface whose signatures must match byte-for-byte.
 QUERY_METHODS = (
@@ -75,10 +73,6 @@ def make_engine(name, graph, tmp_path, *, metrics=None, tracer=None):
         path = str(tmp_path / "engine.rtcf")
         save_rtcf(IntervalTCIndex.build(graph).freeze(), path)
         return attach(load_rtcf(path, verify=True), metrics=metrics,
-                      tracer=tracer)
-    if name == "hoplabel":
-        from repro.core.hoplabel import HopLabelIndex
-        return attach(HopLabelIndex.build(graph), metrics=metrics,
                       tracer=tracer)
     if name == "chain":
         from repro.core.chain_cover import ChainCoverIndex
@@ -324,8 +318,7 @@ class TestEmptyBatchOnPopulatedGraph:
 #: The durable store builds incrementally (one journalled add_node per
 #: node), which is far too slow at 5k nodes for tier-1; the other
 #: engines all build from a graph in one pass.
-SCALE_ENGINE_NAMES = ("interval", "frozen", "hybrid", "rtcf", "hoplabel",
-                      "chain")
+SCALE_ENGINE_NAMES = ("interval", "frozen", "hybrid", "rtcf", "chain")
 
 
 @pytest.mark.parametrize("name", SCALE_ENGINE_NAMES)

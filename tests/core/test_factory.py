@@ -8,11 +8,10 @@ import pytest
 from repro import open_index
 from repro.core.chain_cover import ChainCoverIndex
 from repro.core.frozen import FrozenTCIndex
-from repro.core.hoplabel import HopLabelIndex
 from repro.core.hybrid import HybridTCIndex
 from repro.core.index import IntervalTCIndex
-from repro.core.serialize import (save_frozen_index, save_hoplabel_index,
-                                  save_hybrid_index, save_index)
+from repro.core.serialize import (save_frozen_index, save_hybrid_index,
+                                  save_index)
 from repro.durability.store import DurableTCIndex
 from repro.errors import ReproError
 from repro.graph.digraph import DiGraph
@@ -57,10 +56,9 @@ class TestFromGraph:
         assert engine.policy == "first_parent"
 
     def test_hoplabel(self):
-        engine = open_index(diamond(), engine="hoplabel")
-        assert isinstance(engine, HopLabelIndex)
-        assert engine.reachable("a", "d")
-        assert not engine.reachable("b", "c")
+        """The 2-hop label engine is retired: its name is unknown."""
+        with pytest.raises(ReproError, match="unknown engine 'hoplabel'"):
+            open_index(diamond(), engine="hoplabel")
 
     def test_chain(self):
         engine = open_index(diamond(), engine="chain")
@@ -70,10 +68,6 @@ class TestFromGraph:
     def test_chain_method_kwarg_flows_through(self):
         engine = open_index(diamond(), engine="chain", method="optimal")
         assert engine.stats()["method"] == "optimal"
-
-    def test_hoplabel_rejects_build_kwargs(self):
-        with pytest.raises(ReproError, match="no build options"):
-            open_index(diamond(), engine="hoplabel", policy="first_parent")
 
 
 class TestFromDocuments:
@@ -122,39 +116,33 @@ class TestFromDocuments:
         assert isinstance(engine, FrozenTCIndex)
         assert engine.reachable("a", "c")
 
-    def test_hoplabel_doc_follows_auto(self, tmp_path):
-        path = tmp_path / "hop.json"
-        save_hoplabel_index(HopLabelIndex.build(diamond()), path)
-        engine = open_index(path)
-        assert isinstance(engine, HopLabelIndex)
-        assert engine.reachable("a", "d")
-
-    def test_label_docs_refuse_other_engines(self, tmp_path):
-        hop_path = tmp_path / "hop.json"
-        save_hoplabel_index(HopLabelIndex.build(diamond()), hop_path)
-        with pytest.raises(ReproError, match="2-hop labels"):
-            open_index(hop_path, engine="interval")
-
-    def test_retired_chain_document_names_its_kind(self, tmp_path):
-        """The chain-cover document format is retired; opening one says
-        which kind it is and how to get an engine back."""
-        path = tmp_path / "chain.json"
-        path.write_text(json.dumps({
+    @pytest.mark.parametrize("filename, document", [
+        ("closure.chain.json", {
             "format_version": 1, "kind": "chain-tc-index",
             "method": "greedy", "chains": [["a", "b", "d"], ["c"]],
-            "reach": [["a", [[0, 0], [1, 0]]]]}))
+            "reach": [["a", [[0, 0], [1, 0]]]]}),
+        ("closure.hop.json", {
+            "format_version": 1, "kind": "hop-label-index",
+            "nodes": ["a", "b", "c", "d"],
+            "lin": [[0], [0, 1], [0, 2], [0, 3]],
+            "lout": [[0], [1, 3], [2, 3], [3]]}),
+    ], ids=["chain", "hoplabel"])
+    def test_retired_document_names_its_kind(self, tmp_path, filename,
+                                             document):
+        """The chain-cover and 2-hop label document formats are retired;
+        opening one says which kind it is and how to get an engine back."""
+        path = tmp_path / filename
+        path.write_text(json.dumps(document))
         with pytest.raises(ReproError) as caught:
             open_index(path)
         message = str(caught.value)
-        assert "'chain-tc-index'" in message
+        assert repr(document["kind"]) in message
         assert "rebuild the index from its graph" in message
         assert "open it with repro.open_index" not in message
 
     def test_mutable_doc_coerces_to_label_engines(self, tmp_path):
         path = tmp_path / "idx.json"
         save_index(IntervalTCIndex.build(diamond()), path)
-        assert isinstance(open_index(path, engine="hoplabel"),
-                          HopLabelIndex)
         assert isinstance(open_index(path, engine="chain"),
                           ChainCoverIndex)
 
@@ -249,14 +237,12 @@ class TestCapabilities:
             IntervalTCIndex.build(diamond()).capabilities().kind: None,
             open_index(diamond(), engine="frozen").capabilities().kind: None,
             open_index(diamond(), engine="hybrid").capabilities().kind: None,
-            open_index(diamond(), engine="hoplabel").capabilities().kind: None,
             open_index(diamond(), engine="chain").capabilities().kind: None,
         }
-        assert set(kinds) == {"interval", "frozen", "hybrid", "hoplabel",
-                              "chain"}
+        assert set(kinds) == {"interval", "frozen", "hybrid", "chain"}
 
     def test_snapshot_engines_declare_it(self):
-        for engine_name in ("frozen", "hoplabel", "chain"):
+        for engine_name in ("frozen", "chain"):
             caps = open_index(diamond(), engine=engine_name).capabilities()
             assert caps.is_frozen_snapshot
             assert not caps.supports_updates

@@ -4,14 +4,12 @@ import json
 
 import pytest
 
-from repro.core.hoplabel import HopLabelIndex
 from repro.core.hybrid import HybridTCIndex
 from repro.core.index import IntervalTCIndex
 from repro.core.serialize import (
     index_from_dict,
     index_to_dict,
     save_frozen_index,
-    save_hoplabel_index,
     save_hybrid_index,
     save_index,
 )
@@ -114,12 +112,6 @@ def _through_hybrid_json(tmp_path, index):
     return hybrid, open_index(tmp_path / "hybrid.json")
 
 
-def _through_hoplabel_json(tmp_path, index):
-    save_hoplabel_index(HopLabelIndex.build(index.graph),
-                        tmp_path / "hop.json")
-    return index, open_index(tmp_path / "hop.json")
-
-
 def _through_durable_store(tmp_path, index):
     """Tuple ``add_node``s land in a checkpoint and in the WAL tail."""
     directory = tmp_path / "store"
@@ -135,7 +127,7 @@ def _through_durable_store(tmp_path, index):
 
 @pytest.mark.parametrize("route", [
     _through_rtcf, _through_mutable_json, _through_frozen_json,
-    _through_hybrid_json, _through_hoplabel_json, _through_durable_store,
+    _through_hybrid_json, _through_durable_store,
 ], ids=lambda route: route.__name__[len("_through_"):])
 def test_tuple_labels_round_trip(tmp_path, route):
     """Tuple labels come back as tuples from every saver and the store."""
