@@ -2,11 +2,12 @@
 
 Two claims gate this benchmark (``BENCH_build.json`` at the repo root):
 
-* **Build**: the vectorized interval-propagation kernel
-  (:mod:`repro.core.propagation`) beats the sequential reference pass by
-  >= 2x at 100k nodes — and the two label tables are *identical*, which
-  is asserted here by comparing the deterministic RTCF serialisations
-  byte for byte before any speedup is reported.
+* **Build**: the propagation kernel (:mod:`repro.core.propagation`)
+  beats the paper's sequential pass
+  (:func:`repro.core.labeling.propagate_intervals`) by >= 2x at 100k
+  nodes — and the two label tables are *identical*, which is asserted
+  here by comparing the deterministic RTCF serialisations byte for byte
+  before any speedup is reported.
 * **Cold load**: reopening the closure through the RTCF container
   (``mmap`` + ``frombuffer``) beats re-parsing the JSON frozen document
   by >= 10x at 100k nodes, and the first query after an RTCF open lands
@@ -17,20 +18,20 @@ Run as a script to (re)generate ``BENCH_build.json``::
     $ python benchmarks/bench_build.py            # 100k + 1M nodes
     $ python benchmarks/bench_build.py --smoke    # CI-sized sanity run
 
-The direct frozen build — ``open_index(graph, engine="frozen",
-propagation="vectorized")``, which propagates in rank space and never
-builds the mutable index — is timed end to end (tree cover included) as
+The direct frozen build — ``open_index(graph, engine="frozen")``, which
+propagates in rank space and never builds the mutable index — is timed
+end to end (tree cover included) as
 ``direct_build_seconds``, beside ``vectorized_total_seconds`` for the
 staged build plus freeze, and its RTCF bytes must equal the staged
 route's.
 
 The propagation pass is timed in isolation (tree cover and postorder
-numbering are shared, identical work for both modes), which is the
-comparison the vectorized kernel actually changes; whole-build wall
-time for the vectorized path is reported alongside for context.  The
-default workload uses the O(n) ``first_parent`` tree-cover policy, and
-the cover policy is orthogonal to the propagation comparison because
-both modes consume the same cover.  ``alg1`` (``--policy alg1``) does run
+numbering are shared, identical work for both passes), which is the
+comparison the kernel actually changes; whole-build wall time for the
+kernel's staged build is reported alongside for context.  The default
+workload uses the O(n) ``first_parent`` tree-cover policy, and the
+cover policy is orthogonal to the propagation comparison because both
+passes consume the same cover.  ``alg1`` (``--policy alg1``) does run
 at 100k nodes: on the degree-3 graph its cover took 4.0-5.0 s at a
 675 MB peak RSS (2-CPU box).  Its limit is memory: the exact predecessor
 counts come from bitmask ancestor sets of up to n^2 bits, about 125 GB
@@ -54,8 +55,8 @@ from typing import Callable, List, Optional
 
 from repro import open_index
 from repro.core.index import IntervalTCIndex
-from repro.core.labeling import assign_postorder
-from repro.core.propagation import run_propagation
+from repro.core.labeling import assign_postorder, propagate_intervals
+from repro.core.propagation import propagate_intervals_vectorized
 from repro.core.rtcf import load_rtcf, rtcf_bytes
 from repro.core.serialize import _load_frozen_index, save_frozen_index
 from repro.core.tree_cover import build_tree_cover
@@ -93,7 +94,7 @@ def run_scale(*, nodes: int, degree: float, seed: int, pairs: int,
     graph = random_dag(nodes, degree, seed)
 
     # Shared pipeline stages: identical inputs for both propagation
-    # modes, so the cover policy cannot confound the comparison.
+    # passes, so the cover policy cannot confound the comparison.
     cover, cover_seconds = _timed(
         lambda: build_tree_cover(graph, policy=policy))
     _, numbering_seconds = _timed(lambda: assign_postorder(cover, gap))
@@ -104,11 +105,11 @@ def run_scale(*, nodes: int, degree: float, seed: int, pairs: int,
     if run_python:
         python_labeling = assign_postorder(cover, gap)
         _, python_seconds = _timed(
-            lambda: run_propagation(graph, cover, python_labeling, "python"))
+            lambda: propagate_intervals(graph, cover, python_labeling))
         propagation["python_seconds"] = round(python_seconds, 6)
         # Serialise the sequential result now and drop its millions of
         # live objects *before* timing the vectorized pass — carrying
-        # them across would tax the second pass with the first one's
+        # them across would tax the kernel with the sequential pass's
         # garbage-collector pressure.
         python_index = IntervalTCIndex(graph, cover, python_labeling,
                                        policy=policy)
@@ -123,14 +124,14 @@ def run_scale(*, nodes: int, degree: float, seed: int, pairs: int,
     # index), timed end to end through the public call, tree cover
     # included; only its RTCF digest outlives the timing.
     direct, direct_seconds = _timed(lambda: open_index(
-        graph, engine="frozen", propagation="vectorized", policy=policy,
-        gap=gap))
+        graph, engine="frozen", policy=policy, gap=gap))
     direct_digest = hashlib.sha256(rtcf_bytes(direct)).digest()
     del direct
     gc.collect()
     vector_labeling = assign_postorder(cover, gap)
     _, vector_seconds = _timed(
-        lambda: run_propagation(graph, cover, vector_labeling, "vectorized"))
+        lambda: propagate_intervals_vectorized(graph, cover,
+                                               vector_labeling))
     propagation["vectorized_seconds"] = round(vector_seconds, 6)
 
     build_started = time.perf_counter()
@@ -149,7 +150,7 @@ def run_scale(*, nodes: int, degree: float, seed: int, pairs: int,
         # serialised engines proves label-table equality.
         if rtcf_bytes(frozen) != python_rtcf:
             raise AssertionError(
-                "vectorized propagation diverged from the sequential pass")
+                "the propagation kernel diverged from the sequential pass")
         propagation["speedup"] = round(python_seconds / vector_seconds, 2)
         propagation["verified_identical"] = True
 
@@ -227,7 +228,7 @@ def run_scale(*, nodes: int, degree: float, seed: int, pairs: int,
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
-        description="build + cold-start timings: vectorized propagation "
+        description="build + cold-start timings: the propagation kernel "
                     "and the RTCF zero-copy container")
     parser.add_argument("--scales", type=int, nargs="+",
                         default=[100_000, 1_000_000])

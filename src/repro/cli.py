@@ -134,8 +134,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
               f"(checkpoint {checkpoint_path})")
         return 0
     index = IntervalTCIndex.build(graph, policy=args.policy, gap=args.gap,
-                                  merge=args.merge,
-                                  propagation=args.propagation)
+                                  merge=args.merge)
     if args.output:
         save_index(index, args.output)
     stats = index.stats()
@@ -298,10 +297,11 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 
 def _exercise_metrics(graph):
-    """Run a mixed workload over all four engines under one registry.
+    """Run a mixed workload over every engine under one registry.
 
-    Powers ``repro-tc stats --stats-json`` / ``--prom``: every engine
-    answers the same query mix (point, batch, semijoin), the hybrid
+    Powers ``repro-tc stats --stats-json`` / ``--prom``: the interval,
+    frozen, hybrid and chain-cover engines answer the same query mix
+    (point, batch, semijoin), the hybrid
     absorbs mutations and compacts, and a throwaway durable store
     journals, checkpoints and recovers — so the export shows the full
     metric surface, not just whichever engine the caller happens to use.
@@ -311,6 +311,7 @@ def _exercise_metrics(graph):
     import itertools
     import tempfile
 
+    from repro.core.chain_cover import ChainCoverIndex
     from repro.durability.store import DurableTCIndex
     from repro.graph.traversal import topological_order
     from repro.obs import MetricsRegistry, attach
@@ -320,12 +321,13 @@ def _exercise_metrics(graph):
     frozen = attach(index.freeze().detach(), metrics=registry)
     hybrid = attach(HybridTCIndex.from_index(
         IntervalTCIndex.build(graph)), metrics=registry)
+    chain = attach(ChainCoverIndex.build(graph), metrics=registry)
     attach(index, metrics=registry)
 
     nodes = sorted(graph.nodes(), key=repr)
     pairs = list(itertools.islice(itertools.product(nodes, nodes), 64))
     sample = nodes[:8]
-    engines = [index, frozen, hybrid]
+    engines = [index, frozen, hybrid, chain]
     for engine in engines:
         engine.reachable_many(pairs)
         for node in sample:
@@ -588,7 +590,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             metrics=MetricsRegistry(),
             tracer=tracer,
             coalesce=not args.no_coalesce,
-            window=args.window_us / 1_000_000.0,
             max_batch=args.max_batch,
             max_inflight=args.max_inflight,
             max_pending_writes=args.max_pending_writes,
@@ -618,7 +619,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             port=args.port,
             admin_port=args.metrics_port,
             coalesce=not args.no_coalesce,
-            window=args.window_us / 1_000_000.0,
             max_batch=args.max_batch,
             poll_interval=max(args.poll_ms, 0.1) / 1_000.0,
             keep_generations=args.keep_generations,
@@ -692,12 +692,6 @@ def build_parser() -> argparse.ArgumentParser:
     build.add_argument("--gap", type=int, default=DEFAULT_GAP)
     build.add_argument("--merge", action="store_true",
                        help="apply adjacent-interval merging")
-    build.add_argument("--propagation",
-                       choices=("python", "vectorized"),
-                       default="python",
-                       help="interval-propagation kernel: the sequential "
-                            "reference pass or the numpy level kernel "
-                            "(identical output; file output only)")
     build.add_argument(
         "--durable", metavar="PATH", default=None,
         help="instead of a JSON file, create a crash-safe durable store "
@@ -926,11 +920,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="answer each check individually instead of "
                             "batching concurrent checks through one "
                             "reachable_many call")
-    serve.add_argument("--window-us", type=float, default=0.0,
-                       help="coalescing gather window, microseconds; 0 "
-                            "(the default) gathers for one scheduler "
-                            "pass, right for request-response clients — "
-                            "set a few hundred for open-loop traffic")
     serve.add_argument("--max-batch", type=int, default=512,
                        help="drain a batch early past this many pending "
                             "checks (default 512)")

@@ -32,7 +32,7 @@ from typing import (TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional,
 from repro.core import updates as _updates
 from repro.core.engine import EngineBase, EngineCapabilities
 from repro.core.intervals import Interval, IntervalSet
-from repro.core.labeling import Labeling, assign_postorder, merge_all, propagate_intervals
+from repro.core.labeling import Labeling, assign_postorder, merge_all
 from repro.core.tree_cover import TreeCover, build_tree_cover
 from repro.errors import IndexStateError, NodeNotFoundError
 from repro.graph.digraph import DiGraph, Node
@@ -158,7 +158,6 @@ class IntervalTCIndex(EngineBase):
               merge: bool = False, merge_ordering: bool = False,
               auto_renumber: bool = True,
               renumber_strategy: str = "global", numbering: str = "integer",
-              propagation: str = "python",
               rng: Union[random.Random, int, None] = None) -> "IntervalTCIndex":
         """Compute the compressed closure of an acyclic ``graph``.
 
@@ -170,10 +169,8 @@ class IntervalTCIndex(EngineBase):
         tree siblings by the affinity heuristic so more intervals abut
         (see :mod:`repro.core.merge_ordering` — the paper leaves the
         optimal ordering open as "a combinatorial problem").
-        ``propagation`` selects the interval-propagation kernel:
-        ``"python"`` (the sequential reference pass) or ``"vectorized"``
-        (the numpy level kernel — same labeling, much faster on large
-        graphs); see :mod:`repro.core.propagation`.  Raises
+        Intervals propagate through the kernel of
+        :mod:`repro.core.propagation`.  Raises
         :class:`repro.errors.CycleError` on cyclic input — wrap cyclic
         graphs with :class:`repro.core.condensation.CondensedIndex`
         instead.
@@ -184,11 +181,11 @@ class IntervalTCIndex(EngineBase):
         ``graph.copy()`` to each; two indexes sharing a graph corrupt
         each other's updates.
         """
-        from repro.core.propagation import run_propagation
+        from repro.core.propagation import propagate_intervals_vectorized
         cover = build_cover(graph, policy, merge_ordering=merge_ordering,
                             rng=rng)
         labeling = assign_postorder(cover, gap)
-        run_propagation(graph, cover, labeling, propagation)
+        propagate_intervals_vectorized(graph, cover, labeling)
         if merge:
             merge_all(labeling)
         return cls(graph, cover, labeling, policy=policy, merged=merge,

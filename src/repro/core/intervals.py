@@ -92,6 +92,15 @@ class IntervalSet:
         self._his: List[int] = []
         self.add_all(intervals)
 
+    @classmethod
+    def _adopt(cls, los: List[int], his: List[int]) -> "IntervalSet":
+        """Wrap end-point lists that already form a subsumption-free set
+        sorted by ``lo``: no validation, no copy."""
+        adopted = cls.__new__(cls)
+        adopted._los = los
+        adopted._his = his
+        return adopted
+
     # ------------------------------------------------------------------
     # mutation
     # ------------------------------------------------------------------

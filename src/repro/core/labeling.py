@@ -121,7 +121,9 @@ def assign_postorder(cover: TreeCover, gap: int = 1) -> Labeling:
         number = counter * gap
         postorder[node] = number
         tree_interval[node] = Interval(counter_at_entry * gap + 1, number)
-    intervals = {node: IntervalSet([tree_interval[node]]) for node in postorder}
+    adopt = IntervalSet._adopt
+    intervals = {node: adopt([span.lo], [span.hi])
+                 for node, span in tree_interval.items()}
     return Labeling(postorder=postorder, tree_interval=tree_interval,
                     intervals=intervals, gap=gap)
 
@@ -136,7 +138,9 @@ def propagate_intervals(graph: DiGraph, cover: TreeCover, labeling: Labeling) ->
     tree intervals nest inside ``p``'s — so only non-tree arcs generate
     surviving intervals, exactly as Lemma 4 describes.
 
-    Mutates ``labeling.intervals`` in place.
+    Mutates ``labeling.intervals`` in place.  This is the paper's pass
+    as written and the tests' reference; builds run the kernel of
+    :mod:`repro.core.propagation`, which yields the identical labeling.
     """
     intervals = labeling.intervals
     for p in reversed(cover.order):
@@ -146,21 +150,16 @@ def propagate_intervals(graph: DiGraph, cover: TreeCover, labeling: Labeling) ->
 
 
 def label_graph(graph: DiGraph, cover: TreeCover, gap: int = 1, *,
-                merge: bool = False, propagation: str = "python") -> Labeling:
+                merge: bool = False) -> Labeling:
     """Produce the full compressed-closure labeling for ``graph``.
 
-    Convenience wrapper: postorder numbering, interval propagation, and
-    (optionally) the adjacent/overlapping interval merging post-pass.
-    ``propagation`` picks the propagation kernel (``"python"`` or
-    ``"vectorized"`` — see :mod:`repro.core.propagation`); both modes
-    yield the identical labeling.
+    Convenience wrapper: postorder numbering, interval propagation (the
+    kernel of :mod:`repro.core.propagation`), and (optionally) the
+    adjacent/overlapping interval merging post-pass.
     """
+    from repro.core.propagation import propagate_intervals_vectorized
     labeling = assign_postorder(cover, gap)
-    if propagation == "python":
-        propagate_intervals(graph, cover, labeling)
-    else:
-        from repro.core.propagation import run_propagation
-        run_propagation(graph, cover, labeling, propagation)
+    propagate_intervals_vectorized(graph, cover, labeling)
     if merge:
         merge_all(labeling)
     return labeling

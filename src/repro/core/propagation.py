@@ -1,12 +1,11 @@
-"""Vectorized interval propagation.
+"""The propagation kernel.
 
 The Section 3.2 propagation pass in :mod:`repro.core.labeling` visits
 nodes in reverse topological order and merges each successor's interval
-set into the node's own with per-node Python sorts — correct, but
-single-core and interpreter-bound, which is what keeps million-node
-builds from being interactive.
+set into the node's own with per-node Python sorts.  It stays as the
+tests' reference; every build runs this kernel instead.
 
-This module reformulates the pass over *reverse-topological levels*.
+The kernel reformulates the pass over *reverse-topological levels*.
 Level 0 holds the sinks; a node's level is one more than the maximum
 level of its graph successors, so by the time a level is processed every
 successor's final interval set is known.  Nothing inside a level depends
@@ -18,8 +17,11 @@ segmented maximum-accumulate sweep.  The sweep keeps an interval exactly
 when its upper bound exceeds the running maximum within its owner
 segment — the same "subsumption-maximal elements of the union" fixpoint
 :meth:`IntervalSet.add_all` reaches one merge at a time, so the output
-labeling is *identical*, not merely equivalent (the parity test and the
-differential fuzzer both assert this).
+labeling is *identical*, not merely equivalent.
+
+A level's numpy calls cost a fixed ~90 us whatever its size, which a
+chain-shaped graph (one node per level) pays once per node; one-node
+levels therefore take a scalar merge over Python lists instead.
 
 The level loop (:func:`_propagate_pool`) takes tree intervals as plain
 arrays, so it serves two callers: the mutable build feeds it gapped
@@ -31,7 +33,8 @@ the pool into the frozen CSR rows directly.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from operator import neg
+from typing import Dict, List, Tuple
 
 from repro.core.frozen import _coalesce_runs, _numpy
 from repro.core.intervals import IntervalSet
@@ -40,10 +43,6 @@ from repro.core.tree_cover import TreeCover
 from repro.errors import ReproError
 from repro.graph.digraph import DiGraph, Node
 
-#: Propagation modes accepted by ``IntervalTCIndex.build`` and
-#: :func:`repro.core.labeling.label_graph`.
-PROPAGATION_MODES = ("python", "vectorized")
-
 
 def _sweep(np, los, his, owners):
     """Resolve one level's (lo, hi, owner) arrays to their
@@ -51,8 +50,7 @@ def _sweep(np, los, his, owners):
     # (owner asc, lo asc, hi desc) in ONE argsort when the composite key
     # fits int64 — a single introsort beats lexsort's three stable
     # passes by ~2-3x.  The key overflows int64 once the three spans
-    # multiply past 2**62 (end-points past ~2**31 on a one-node level);
-    # lexsort takes those levels.
+    # multiply past 2**62; lexsort takes those levels.
     lo_span = int(los.max()) + 1
     hi_span = int(his.max()) + 1
     owner_span = int(owners.max()) + 1
@@ -77,14 +75,22 @@ def _sweep(np, los, his, owners):
     return slo[keep], shi[keep], sown[keep]
 
 
-def _levelize(graph: DiGraph, order: List[Node]) -> Dict[Node, int]:
-    """Longest distance to a sink for every node (level schedule)."""
-    return _levelize_lists(
-        order, [graph.successors(node) for node in order])
+def _merge_scalar(pairs: List[Tuple[int, int]]) -> List[Tuple[int, int]]:
+    """The subsumption-maximal ``(lo, hi)`` runs among ``(lo, -hi)``
+    pairs, sorted by lo: :meth:`IntervalSet.add_all`'s sort and sweep."""
+    pairs.sort()  # lo ascending, hi descending
+    kept = []
+    top = -1  # end-points are non-negative
+    for lo, neg_hi in pairs:
+        if -neg_hi > top:
+            top = -neg_hi
+            kept.append((lo, top))
+    return kept
 
 
-def _levelize_lists(order: List[Node], succ_lists: List) -> Dict[Node, int]:
-    """:func:`_levelize` over pre-fetched successor collections."""
+def _levelize(order: List[Node], succ_lists: List) -> Dict[Node, int]:
+    """Longest distance to a sink for every node (level schedule), from
+    each node's successors in topological ``order``."""
     level: Dict[Node, int] = {}
     for node, succs in zip(reversed(order), reversed(succ_lists)):
         deepest = -1
@@ -115,20 +121,22 @@ def _propagate_pool(np, graph: DiGraph, order: List[Node], tree_lo_all,
     start, end)``: id ``i``'s runs are ``pool[start[i]:end[i]]``, sorted
     by ``lo``.
 
-    Each level is resolved with a fixed number of numpy calls.  A level
-    whose segmented keys (``count * hi``) would overflow int64 takes
-    :func:`_sweep_python`; one whose composite sort key (``owners * lo *
-    hi``) would, sorts with ``lexsort``.  End-points grow with the gap,
-    so the rank-space route, whose sort keys are about ``gap**2`` times
-    smaller, reaches both fallbacks far later than the mutable build.
+    The data picks each level's method.  A one-node level takes the
+    scalar merge, as does every node of a level whose segmented sweep
+    keys (``count * hi``) would overflow int64; every other level is
+    resolved with a fixed number of numpy calls, sorting with
+    ``lexsort`` when its composite key (``owners * lo * hi``) would
+    overflow.  End-points grow with the gap, so the rank-space route,
+    whose keys are about ``gap**2`` times smaller, reaches both
+    overflow guards far later than the mutable build.
     """
     n = len(order)
     successors = graph.successors
     succ_lists = [successors(node) for node in order]
-    level_of = _levelize_lists(order, succ_lists)
+    level_of = _levelize(order, succ_lists)
 
     # The graph as CSR arrays in id space.  After this there is no
-    # per-node or per-arc Python work inside the level loop.
+    # per-node or per-arc Python work inside a numpy level.
     id_of = {node: i for i, node in enumerate(order)}
     counts = np.array([len(succs) for succs in succ_lists], dtype=np.int64)
     indptr = np.zeros(n + 1, dtype=np.int64)
@@ -155,10 +163,53 @@ def _propagate_pool(np, graph: DiGraph, order: List[Node], tree_lo_all,
     size = 0
     start_arr = np.zeros(n, dtype=np.int64)
     end_arr = np.zeros(n, dtype=np.int64)
+    # The scalar merge goes through memoryviews: an element access costs
+    # a few times less than a numpy scalar index.
+    lo_view, hi_view = memoryview(pool_lo), memoryview(pool_hi)
+    start_view, end_view = memoryview(start_arr), memoryview(end_arr)
+    tree_lo_view = memoryview(tree_lo_all)
+    tree_hi_view = memoryview(tree_hi_all)
+
+    def reserve(extra: int) -> int:
+        """Grow the pool to hold ``extra`` more runs; return the old size."""
+        nonlocal pool_lo, pool_hi, lo_view, hi_view, capacity, size
+        begin = size
+        size += extra
+        if size > capacity:
+            while capacity < size:
+                capacity *= 2
+            grown_lo = np.empty(capacity, dtype=np.int64)
+            grown_hi = np.empty(capacity, dtype=np.int64)
+            grown_lo[:begin] = pool_lo[:begin]
+            grown_hi[:begin] = pool_hi[:begin]
+            pool_lo, pool_hi = grown_lo, grown_hi
+            lo_view, hi_view = memoryview(pool_lo), memoryview(pool_hi)
+        return begin
+
+    def resolve_scalar(node_id: int) -> None:
+        """One node's runs by :meth:`IntervalSet.add_all`'s sort and
+        sweep, over Python values: no per-level numpy calls."""
+        pairs = [(tree_lo_view[node_id], -tree_hi_view[node_id])]
+        for successor in map(get_id, succ_lists[node_id]):
+            begin = start_view[successor]
+            end = end_view[successor]
+            pairs += zip(lo_view[begin:end].tolist(),
+                         map(neg, hi_view[begin:end].tolist()))
+        kept = _merge_scalar(pairs)
+        position = reserve(len(kept))
+        start_view[node_id] = position
+        for lo, hi in kept:
+            lo_view[position] = lo
+            hi_view[position] = hi
+            position += 1
+        end_view[node_id] = position
 
     for ids in levels:
-        members = np.asarray(ids, dtype=np.int64)
         count = len(ids)
+        if count == 1:
+            resolve_scalar(ids[0])
+            continue
+        members = np.asarray(ids, dtype=np.int64)
         tree_lo = tree_lo_all[members]
         tree_hi = tree_hi_all[members]
         row_start = indptr[members]
@@ -179,62 +230,54 @@ def _propagate_pool(np, graph: DiGraph, order: List[Node], tree_lo_all,
                                   succ_counts)
             los = np.concatenate([tree_lo, pool_lo[gather]])
             his = np.concatenate([tree_hi, pool_hi[gather]])
+            if count * (int(his.max()) + 1) >= 2**62:
+                for node_id in ids:
+                    resolve_scalar(node_id)
+                continue
             owners = np.concatenate([
                 np.arange(count, dtype=np.int64),
                 np.repeat(arc_owner, lengths)])
-            if count * (int(his.max()) + 1) >= 2**62:
-                kept_lo, kept_hi, kept_owner = _sweep_python(
-                    np, ids, tree_lo_all, tree_hi_all, pool_lo,
-                    pool_hi, start_arr, end_arr, indptr, indices)
-            else:
-                kept_lo, kept_hi, kept_owner = _sweep(np, los, his, owners)
+            kept_lo, kept_hi, kept_owner = _sweep(np, los, his, owners)
             bounds = np.searchsorted(kept_owner,
                                      np.arange(count + 1))
 
-        needed = size + len(kept_lo)
-        if needed > capacity:
-            while capacity < needed:
-                capacity *= 2
-            grown_lo = np.empty(capacity, dtype=np.int64)
-            grown_hi = np.empty(capacity, dtype=np.int64)
-            grown_lo[:size] = pool_lo[:size]
-            grown_hi[:size] = pool_hi[:size]
-            pool_lo, pool_hi = grown_lo, grown_hi
-        pool_lo[size:needed] = kept_lo
-        pool_hi[size:needed] = kept_hi
-        start_arr[members] = size + bounds[:-1]
-        end_arr[members] = size + bounds[1:]
-        size = needed
+        begin = reserve(len(kept_lo))
+        pool_lo[begin:size] = kept_lo
+        pool_hi[begin:size] = kept_hi
+        start_arr[members] = begin + bounds[:-1]
+        end_arr[members] = begin + bounds[1:]
     return pool_lo[:size], pool_hi[:size], start_arr, end_arr
 
 
 def propagate_intervals_vectorized(graph: DiGraph, cover: TreeCover,
                                    labeling: Labeling) -> None:
-    """Drop-in replacement for :func:`propagate_intervals`.
+    """The propagation kernel over a numbered labeling.
 
     Mutates ``labeling.intervals`` in place to the exact sets the
-    sequential pass produces.
+    sequential :func:`~repro.core.labeling.propagate_intervals` produces,
+    and runs that pass itself when some number does not fit int64.
     """
     np = _numpy()
     order = cover.order
     tree_spans = [labeling.tree_interval[node] for node in order]
+    try:
+        tree_lo = np.array([span.lo for span in tree_spans], dtype=np.int64)
+        tree_hi = np.array([span.hi for span in tree_spans], dtype=np.int64)
+    except OverflowError:
+        propagate_intervals(graph, cover, labeling)
+        return
     pool_lo, pool_hi, start_arr, end_arr = _propagate_pool(
-        np, graph, order,
-        np.array([span.lo for span in tree_spans], dtype=np.int64),
-        np.array([span.hi for span in tree_spans], dtype=np.int64))
+        np, graph, order, tree_lo, tree_hi)
 
     # Write-back: two bulk tolist() calls, then plain list slices —
     # no per-node numpy round trips.
     all_lo = pool_lo.tolist()
     all_hi = pool_hi.tolist()
     intervals = labeling.intervals
-    make = IntervalSet.__new__
+    adopt = IntervalSet._adopt
     for node, begin, end in zip(order, start_arr.tolist(),
                                 end_arr.tolist()):
-        fresh = make(IntervalSet)
-        fresh._los = all_lo[begin:end]
-        fresh._his = all_hi[begin:end]
-        intervals[node] = fresh
+        intervals[node] = adopt(all_lo[begin:end], all_hi[begin:end])
 
 
 def propagate_rank_runs(np, graph: DiGraph, cover: TreeCover):
@@ -270,44 +313,19 @@ def propagate_rank_runs(np, graph: DiGraph, cover: TreeCover):
     return nodes, offsets, lows, highs
 
 
-def _sweep_python(np, ids, tree_lo_all, tree_hi_all, pool_lo, pool_hi,
-                  start_arr, end_arr, indptr, indices):
-    """Sequential fallback for one level (sweep-key overflow guard).
-
-    Produces the same (owner, lo)-ordered kept arrays the vectorized
-    sweep would: ``add_all``'s survivors are sorted by ``lo`` ascending,
-    matching the segmented sweep's output order.
-    """
-    kept_lo: List[int] = []
-    kept_hi: List[int] = []
-    kept_owner: List[int] = []
-    for position, node_id in enumerate(ids):
-        own = IntervalSet([(int(tree_lo_all[node_id]),
-                            int(tree_hi_all[node_id]))])
-        for successor in indices[indptr[node_id]:indptr[node_id + 1]]:
-            begin, end = int(start_arr[successor]), int(end_arr[successor])
-            own.add_all(zip(pool_lo[begin:end].tolist(),
-                            pool_hi[begin:end].tolist()))
-        kept_lo.extend(own._los)
-        kept_hi.extend(own._his)
-        kept_owner.extend([position] * len(own._los))
-    return (np.asarray(kept_lo, dtype=np.int64),
-            np.asarray(kept_hi, dtype=np.int64),
-            np.asarray(kept_owner, dtype=np.int64))
+def check_propagation(propagation: str) -> None:
+    """Reject every ``propagation=`` value but the kernel's name, which
+    the benchmark harness still passes."""
+    if propagation != "vectorized":
+        raise ReproError(
+            f"unknown propagation mode {propagation!r}: every build runs "
+            "the one kernel, 'vectorized'; the sequential pass is the test "
+            "reference, repro.core.labeling.propagate_intervals")
 
 
 def run_propagation(graph: DiGraph, cover: TreeCover, labeling: Labeling,
-                    propagation: str = "python") -> None:
-    """Dispatch the propagation pass by mode name.
-
-    ``"python"`` is the sequential reference pass; ``"vectorized"`` the
-    numpy level kernel.  Both produce identical labelings.
-    """
-    if propagation not in PROPAGATION_MODES:
-        raise ReproError(
-            f"unknown propagation mode {propagation!r}; "
-            f"choose from {PROPAGATION_MODES}")
-    if propagation == "python":
-        propagate_intervals(graph, cover, labeling)
-    else:
-        propagate_intervals_vectorized(graph, cover, labeling)
+                    propagation: str = "vectorized") -> None:
+    """:func:`propagate_intervals_vectorized`, kept only for the
+    benchmark harness, which names the mode."""
+    check_propagation(propagation)
+    propagate_intervals_vectorized(graph, cover, labeling)

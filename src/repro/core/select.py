@@ -17,10 +17,10 @@ point query is a single dict probe —
 ======================  ============================================  ========
 regime                  BENCH_engines.json cell (total seconds)       winner
 ======================  ============================================  ========
-deep chain              chain 0.151 / frozen 0.598 / interval 0.603   chain
-bushy hierarchy         chain 0.284 / interval 0.889 / frozen 0.992   chain
-bipartite (Fig. 3.6)    chain 0.034 / frozen 0.113 / interval 0.132   chain
-sparse mid-depth DAG    chain 0.150 / interval 0.501 / frozen 0.528   chain
+deep chain              chain 0.137 / frozen 0.363 / interval 0.576   chain
+bushy hierarchy         chain 0.248 / frozen 0.340 / interval 0.430   chain
+bipartite (Fig. 3.6)    chain 0.032 / frozen 0.033 / interval 0.067   chain
+sparse mid-depth DAG    chain 0.145 / frozen 0.268 / interval 0.402   chain
 ======================  ============================================  ========
 
 — so the rule has exactly one other branch: graphs under

@@ -10,7 +10,7 @@ Dispatch matrix (rows: what ``source`` holds; columns: ``engine=``):
 ===============  ==========  ==========  ==========  ==========  ================
 source           ``auto``    ``interval``  ``frozen``  ``hybrid``  ``chain``
 ===============  ==========  ==========  ==========  ==========  ================
-graph/edge list  *stats* [1] build       build+freeze  build+wrap  label build
+graph/edge list  *stats* [1] build       direct build  build+wrap  label build
 mutable doc      interval    load        load+freeze   load+wrap   build from graph
 frozen doc       frozen      error       load          error       error
 hybrid doc       hybrid      inner idx   inner+freeze  load        build from graph
@@ -51,6 +51,7 @@ from typing import Optional
 from repro.core.frozen import FrozenTCIndex
 from repro.core.hybrid import HybridTCIndex
 from repro.core.index import DEFAULT_GAP, IntervalTCIndex
+from repro.core.propagation import check_propagation
 from repro.errors import ReproError
 from repro.graph.digraph import DiGraph
 
@@ -71,21 +72,20 @@ def _build_interval(graph, *, gap, **kwargs):
     return IntervalTCIndex.build(graph, gap=gap, **kwargs)
 
 
-#: Build options the direct frozen route (:meth:`FrozenTCIndex.from_graph`)
-#: honours.  ``merge`` only joins touching intervals, which freeze
-#: coalesces anyway; every other option (``numbering``, the renumbering
-#: knobs) keeps the staged route and its validation.
-_DIRECT_FROZEN_OPTIONS = frozenset(
-    {"policy", "merge", "merge_ordering", "propagation", "rng"})
+#: Build options that configure inserts, which a snapshot never takes.
+_UPDATE_ONLY_OPTIONS = frozenset(
+    {"numbering", "auto_renumber", "renumber_strategy"})
 
 
-def _build_frozen(graph, *, gap, **kwargs):
-    if (kwargs.get("propagation") == "vectorized"
-            and _DIRECT_FROZEN_OPTIONS.issuperset(kwargs)):
-        kwargs.pop("propagation")
-        kwargs.pop("merge", None)
-        return FrozenTCIndex.from_graph(graph, gap=gap, **kwargs)
-    return IntervalTCIndex.build(graph, gap=gap, **kwargs).freeze()
+def _build_frozen(graph, *, gap, merge=False, **kwargs):
+    # ``merge`` only joins touching intervals, which freeze coalesces.
+    update_only = _UPDATE_ONLY_OPTIONS.intersection(kwargs)
+    if update_only:
+        raise ReproError(
+            f"{', '.join(sorted(update_only))} configure inserts, which a "
+            "frozen snapshot never takes; build engine='interval' or "
+            "'hybrid' to use them")
+    return FrozenTCIndex.from_graph(graph, gap=gap, **kwargs)
 
 
 def _build_hybrid(graph, *, gap, **kwargs):
@@ -203,10 +203,13 @@ def open_index(source, *, engine: str = "auto",
     ``policy``, ``numbering``), :meth:`ChainCoverIndex.build` for
     ``engine="chain"`` (``method="greedy"|"optimal"``),
     :meth:`DurableTCIndex.open` for durable stores (e.g.
-    ``fsync_every``, ``create``).
+    ``fsync_every``, ``create``); ``engine="frozen"`` builds through
+    :meth:`FrozenTCIndex.from_graph`.  ``propagation="vectorized"`` is
+    accepted and dropped, only for the benchmark harness.
     """
     from repro.obs.instrument import attach
 
+    check_propagation(kwargs.pop("propagation", "vectorized"))
     engine = _normalise_engine(engine)
 
     if isinstance(source, (str, Path)):

@@ -35,8 +35,7 @@ from repro.errors import CycleError, NodeNotFoundError, ReproError
 from repro.obs.export import render_json, render_prometheus
 from repro.obs.metrics import MetricsRegistry
 from repro.server import protocol
-from repro.server.coalesce import (DEFAULT_MAX_BATCH, DEFAULT_WINDOW,
-                                   EXPIRED, BatchCoalescer)
+from repro.server.coalesce import DEFAULT_MAX_BATCH, EXPIRED, BatchCoalescer
 from repro.server.protocol import (DEFAULT_MAX_FRAME, ERROR_CODES,
                                    CannedError, FrameParser,
                                    OverloadedError, ProtocolError,
@@ -181,7 +180,6 @@ class ReachabilityServer:
     def __init__(self, engine=None, *,
                  state=None, metrics: Optional[MetricsRegistry] = None,
                  tracer=None, coalesce: bool = True,
-                 window: float = DEFAULT_WINDOW,
                  max_batch: int = DEFAULT_MAX_BATCH,
                  max_frame: int = DEFAULT_MAX_FRAME,
                  allow_shutdown: bool = True,
@@ -201,7 +199,7 @@ class ReachabilityServer:
             engine, metrics=self.metrics, tracer=tracer,
             max_pending_writes=max_pending_writes)
         self.coalescer = BatchCoalescer(
-            lambda: self.state.snapshot, window=window, max_batch=max_batch,
+            lambda: self.state.snapshot, max_batch=max_batch,
             enabled=coalesce, metrics=self.metrics)
         self.max_frame = max_frame
         self.allow_shutdown = allow_shutdown

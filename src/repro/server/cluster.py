@@ -51,7 +51,7 @@ from repro.obs.export import render_prometheus_snapshots
 from repro.obs.metrics import MetricsRegistry
 from repro.server.app import ReachabilityServer
 from repro.server.client import ReachabilityClient
-from repro.server.coalesce import DEFAULT_MAX_BATCH, DEFAULT_WINDOW
+from repro.server.coalesce import DEFAULT_MAX_BATCH
 from repro.server.generations import GenerationStore
 from repro.server.protocol import (DEFAULT_MAX_FRAME, ERROR_CODES,
                                    ProtocolError)
@@ -336,8 +336,8 @@ class _WorkerConfig:
     which is what lets the no-reuseport fallback ship a socket)."""
 
     __slots__ = ("worker_id", "root", "keep", "writer_path", "admin_path",
-                 "host", "port", "listen_sock", "coalesce", "window",
-                 "max_batch", "max_frame", "poll_interval", "ack_timeout",
+                 "host", "port", "listen_sock", "coalesce", "max_batch",
+                 "max_frame", "poll_interval", "ack_timeout",
                  "max_inflight", "shed_retry_after_ms", "write_high_water",
                  "write_grace")
 
@@ -373,7 +373,7 @@ async def _worker_async(config: _WorkerConfig, ready) -> None:
                         ack_timeout=config.ack_timeout)
     server = ReachabilityServer(
         state=state, metrics=registry, coalesce=config.coalesce,
-        window=config.window, max_batch=config.max_batch,
+        max_batch=config.max_batch,
         max_frame=config.max_frame, allow_shutdown=False,
         max_inflight=config.max_inflight,
         shed_retry_after_ms=config.shed_retry_after_ms,
@@ -447,7 +447,7 @@ class ClusterServer:
     def __init__(self, engine, *, workers: int = 2,
                  snapshot_dir=None, host: str = "127.0.0.1",
                  port: int = 0, admin_port: int = 0,
-                 coalesce: bool = True, window: float = DEFAULT_WINDOW,
+                 coalesce: bool = True,
                  max_batch: int = DEFAULT_MAX_BATCH,
                  max_frame: int = DEFAULT_MAX_FRAME,
                  poll_interval: float = 0.02, keep_generations: int = 2,
@@ -467,7 +467,6 @@ class ClusterServer:
         self.admin_port = admin_port
         self.admin_host: Optional[str] = None
         self.coalesce = coalesce
-        self.window = window
         self.max_batch = max_batch
         self.max_frame = max_frame
         self.poll_interval = poll_interval
@@ -554,7 +553,7 @@ class ClusterServer:
             admin_path=self.worker_admin_path(worker_id),
             host=self.host, port=self.port,
             listen_sock=None if self._reuseport else self._listen_sock,
-            coalesce=self.coalesce, window=self.window,
+            coalesce=self.coalesce,
             max_batch=self.max_batch, max_frame=self.max_frame,
             poll_interval=self.poll_interval, ack_timeout=self.ack_timeout,
             max_inflight=self.max_inflight,

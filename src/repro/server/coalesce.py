@@ -1,28 +1,20 @@
-"""Adaptive batch coalescing: many wire checks, one vectorised call.
+"""Batch coalescing: many wire checks, one vectorised call.
 
 ``BENCH_frozen.json``'s 4.5x batched-reachability win was only reachable
 from Python callers who already held a list of pairs.  The coalescer
 recovers it at the wire: ``check`` requests that arrive concurrently —
-from any number of connections — are gathered for a bounded window (or
-until a size threshold) and answered by a single
+from any number of connections — are gathered for one scheduler pass
+(or until a size threshold) and answered by a single
 :meth:`~repro.core.frozen.FrozenTCIndex.reachable_many` call against one
 pinned snapshot.  Every request in a batch is therefore answered at the
 same epoch: a batch cannot tear across an epoch swap by construction.
 
-The default gather window is *one scheduler pass*: the drain is queued
-with ``call_soon``, so every check whose socket data arrived in the
-same event-loop ready cycle lands in the same batch, at zero added
-latency — closed-loop clients are never left waiting on a timer for
-traffic that cannot arrive (their next request is blocked on our
-answer).  A positive ``window`` opts into timed gathering for
-*open-loop* traffic (arrivals independent of responses), where holding
-the batch a few hundred microseconds genuinely merges more waves; the
-coalescer adapts by watching an exponentially-weighted moving average
-of batch sizes and collapsing a configured window back to the bare
-yield while batches stay below :attr:`ADAPTIVE_THRESHOLD`, so sparse
-traffic never pays the window's latency tax.  A size threshold
-(``max_batch`` pairs) drains early regardless, bounding both latency
-and peak batch memory.
+The drain is queued with ``call_soon``, so every check whose socket
+data arrived in the same event-loop ready cycle lands in the same
+batch, at zero added latency — closed-loop clients are never left
+waiting on a timer for traffic that cannot arrive (their next request
+is blocked on our answer).  A size threshold (``max_batch`` pairs)
+drains early, bounding both latency and peak batch memory.
 
 Submissions are *groups*: a connection that read several pipelined
 checks in one socket chunk submits them as one group, so per-request
@@ -72,15 +64,8 @@ def _member(engine, node) -> bool:
     except TypeError:
         return False
 
-#: Default gather window, seconds.  Zero means "one scheduler pass":
-#: drain everything that arrived in the current event-loop ready cycle.
-DEFAULT_WINDOW = 0.0
 #: Default drain-now threshold, total pairs across pending groups.
 DEFAULT_MAX_BATCH = 512
-#: EWMA batch size above which a configured timed window engages.
-ADAPTIVE_THRESHOLD = 4.0
-#: EWMA smoothing factor (weight of the newest batch).
-EWMA_ALPHA = 0.2
 #: Below this many pairs a drain answers with scalar lookups: the
 #: vectorised ``reachable_many`` carries ~13µs of fixed array-building
 #: cost, which singles at ~1.3µs/pair undercut until roughly ten pairs.
@@ -122,17 +107,15 @@ class BatchCoalescer:
     state).
     """
 
-    def __init__(self, get_snapshot, *, window: float = DEFAULT_WINDOW,
+    def __init__(self, get_snapshot, *,
                  max_batch: int = DEFAULT_MAX_BATCH, enabled: bool = True,
                  metrics: Optional[MetricsRegistry] = None) -> None:
         self._get_snapshot = get_snapshot
-        self.window = window
         self.max_batch = max_batch
         self.enabled = enabled
         self._pending: List[CheckGroup] = []
         self._pending_pairs = 0
         self._drain_handle = None
-        self._ewma = 1.0
         registry = metrics if metrics is not None \
             else MetricsRegistry(enabled=False)
         self._batches = registry.counter(
@@ -145,9 +128,6 @@ class BatchCoalescer:
             "tc_server_batch_size",
             help="pairs answered per coalesced drain",
             buckets=(1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024))
-        self._windowed = registry.counter(
-            "tc_server_windowed_drains_total",
-            help="drains that waited the full gather window")
         self._expired = registry.counter(
             "tc_server_expired_checks_total",
             help="queued checks dropped unanswered because their "
@@ -196,14 +176,7 @@ class BatchCoalescer:
         if self._pending_pairs >= self.max_batch:
             self._drain()
             return
-        if self._drain_handle is not None:
-            return
-        if self.window > 0 and self._ewma >= ADAPTIVE_THRESHOLD:
-            # Open-loop traffic at real concurrency: hold the batch for
-            # the configured window to merge more arrival waves.
-            self._windowed.inc()
-            self._drain_handle = loop.call_later(self.window, self._drain)
-        else:
+        if self._drain_handle is None:
             # One scheduler pass: everything already in the loop's ready
             # queue joins the batch, and nobody waits on a timer.
             self._drain_handle = loop.call_soon(self._drain)
@@ -267,8 +240,6 @@ class BatchCoalescer:
             for (group_index, position), hit in zip(slots, hits):
                 answers_per_group[group_index][position] = bool(hit)
 
-        self._ewma = ((1.0 - EWMA_ALPHA) * self._ewma
-                      + EWMA_ALPHA * batch_pairs)
         self._batches.inc()
         self._batch_size.observe(batch_pairs)
         if len(groups) > 1 or batch_pairs > len(groups):
@@ -287,8 +258,6 @@ class BatchCoalescer:
     def stats(self) -> dict:
         return {
             "enabled": self.enabled,
-            "window_seconds": self.window,
             "max_batch": self.max_batch,
-            "ewma_batch_size": round(self._ewma, 3),
             "pending_pairs": self._pending_pairs,
         }

@@ -39,7 +39,6 @@ class ServerThread:
     """
 
     def __init__(self, engine_factory, *, coalesce: bool = True,
-                 window: Optional[float] = None,
                  call_timeout: float = DEFAULT_CALL_TIMEOUT,
                  server_kwargs: Optional[dict] = None,
                  client_kwargs: Optional[dict] = None,
@@ -51,7 +50,6 @@ class ServerThread:
         self._client: Optional[ReachabilityClient] = None
         self._engine_factory = engine_factory
         self._coalesce = coalesce
-        self._window = window
         self.call_timeout = float(call_timeout)
         self._server_kwargs = dict(server_kwargs or {})
         self._client_kwargs = dict(client_kwargs or {})
@@ -87,8 +85,6 @@ class ServerThread:
 
     async def _startup(self) -> None:
         kwargs = {"coalesce": self._coalesce}
-        if self._window is not None:
-            kwargs["window"] = self._window
         kwargs.update(self._server_kwargs)
         server = ReachabilityServer(self._engine_factory(), **kwargs)
         host, port = await server.start("127.0.0.1", 0)
@@ -173,15 +169,13 @@ class ClusterThread:
     """
 
     def __init__(self, engine_factory, *, workers: int = 2,
-                 coalesce: bool = True, window: Optional[float] = None,
+                 coalesce: bool = True,
                  poll_interval: float = 0.01,
                  call_timeout: float = DEFAULT_CALL_TIMEOUT,
                  **cluster_kwargs: Any) -> None:
         from repro.server.cluster import ClusterServer
         kwargs = {"workers": workers, "coalesce": coalesce,
                   "poll_interval": poll_interval}
-        if window is not None:
-            kwargs["window"] = window
         kwargs.update(cluster_kwargs)
         self.call_timeout = float(call_timeout)
         self._cluster = ClusterServer(engine_factory(), port=0, **kwargs)

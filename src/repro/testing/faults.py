@@ -7,9 +7,9 @@ can assert the fuzzer *catches* it, the shrinker minimises it, and the
 crash file replays it.  Faults are context managers and always restore
 the patched attribute:
 
-* ``keep-subsumed`` — interval insertion stops discarding subsumed
-  intervals, breaking the Section 3.2 elimination rule (caught by the
-  subsumption audit);
+* ``keep-subsumed`` — interval insertion and the build's propagation
+  kernel stop discarding subsumed intervals, breaking the Section 3.2
+  elimination rule (caught by the subsumption audit);
 * ``cutoff-propagation`` — non-tree arc insertion updates the arc's
   source but never walks the predecessor lists, losing reachability
   upstream (caught by the differential check);
@@ -44,6 +44,7 @@ def _patched(owner, attribute: str, replacement) -> Iterator[None]:
 
 @contextmanager
 def _keep_subsumed() -> Iterator[None]:
+    from repro.core import propagation
     from repro.core.intervals import IntervalSet
 
     original_add = IntervalSet.add
@@ -63,7 +64,18 @@ def _keep_subsumed() -> Iterator[None]:
         self._his.insert(position, hi)
         return True
 
-    with _patched(IntervalSet, "add", buggy_add):
+    def buggy_merge_scalar(pairs):
+        # Bug: every run survives, sorted by lo.
+        return sorted((lo, -neg_hi) for lo, neg_hi in pairs)
+
+    def buggy_sweep(np, los, his, owners):
+        # Bug: every run survives, ordered by (owner, lo).
+        order = np.lexsort((his, los, owners))
+        return los[order], his[order], owners[order]
+
+    with _patched(IntervalSet, "add", buggy_add), \
+            _patched(propagation, "_merge_scalar", buggy_merge_scalar), \
+            _patched(propagation, "_sweep", buggy_sweep):
         yield
     del original_add
 

@@ -71,7 +71,7 @@ OP_KINDS = MUTATING_KINDS | {"freeze", "query", "compact"}
 #: every baseline, the chain-cover label engine included
 #: (``hybrid-delta`` rebuilds with a live overlay).
 DEFAULT_ENGINES: Tuple[str, ...] = ("frozen", "hybrid", "rebuild",
-                                    "rebuild-merged", "rebuild-vectorized",
+                                    "rebuild-merged", "rebuild-reference",
                                     "rebuild-frozen-direct", "rtcf",
                                     "baselines", "hybrid-delta")
 

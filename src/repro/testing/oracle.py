@@ -225,15 +225,20 @@ def _build_hybrid_delta(graph: DiGraph):
     return hybrid
 
 
-def _build_interval_vectorized(graph: DiGraph):
-    """An index built through the vectorized propagation kernel.
+def build_reference_index(graph: DiGraph, *, gap: int = 1,
+                          policy: str = "alg1"):
+    """An index labelled by the paper's sequential propagation pass.
 
-    Same gap as the plain rebuild, so any divergence between the numpy
-    level sweep and the sequential reference pass shows up as a
-    differential mismatch rather than a silent mislabeling.
+    Tree cover, postorder numbering, then
+    :func:`~repro.core.labeling.propagate_intervals` — the reference
+    every build's kernel must equal, table for table.
     """
-    from repro.core.index import IntervalTCIndex
-    return IntervalTCIndex.build(graph, gap=1, propagation="vectorized")
+    from repro.core.index import IntervalTCIndex, build_cover
+    from repro.core.labeling import assign_postorder, propagate_intervals
+    cover = build_cover(graph, policy)
+    labeling = assign_postorder(cover, gap)
+    propagate_intervals(graph, cover, labeling)
+    return IntervalTCIndex(graph, cover, labeling, policy=policy)
 
 
 def _mapped(frozen):
@@ -265,14 +270,13 @@ def _build_rtcf(graph: DiGraph):
 def _build_frozen_direct(graph: DiGraph):
     """A frozen engine built by the direct route, after a save/mmap-load.
 
-    ``open_index(engine="frozen", propagation="vectorized")`` skips the
-    mutable index and propagates in rank space; the RTCF round trip puts
-    the route's buffers through the same writer and mapped view as the
-    ``rtcf`` engine.
+    ``open_index(engine="frozen")`` skips the mutable index and
+    propagates in rank space; the RTCF round trip puts the route's
+    buffers through the same writer and mapped view as the ``rtcf``
+    engine.
     """
     from repro.factory import open_index
-    return _mapped(open_index(graph, engine="frozen",
-                              propagation="vectorized"))
+    return _mapped(open_index(graph, engine="frozen"))
 
 
 def _build_server(graph: DiGraph):
@@ -358,7 +362,7 @@ def _build_cluster(graph: DiGraph):
 ENGINE_FACTORIES: Dict[str, Callable[[DiGraph], object]] = {
     "rebuild": _build_interval,
     "rebuild-merged": _build_interval_merged,
-    "rebuild-vectorized": _build_interval_vectorized,
+    "rebuild-reference": build_reference_index,
     "rebuild-frozen": _build_frozen,
     "rebuild-frozen-direct": _build_frozen_direct,
     "rtcf": _build_rtcf,

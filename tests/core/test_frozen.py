@@ -27,6 +27,7 @@ from repro.errors import (CycleError, GraphError, IndexStateError,
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import random_dag
 from repro.graph.io import load_edge_list
+from repro.testing.oracle import build_reference_index
 
 @pytest.fixture
 def paper_index(paper_dag) -> IntervalTCIndex:
@@ -386,8 +387,7 @@ def direct_build(graph, monkeypatch, **options) -> FrozenTCIndex:
         raise AssertionError("the direct route built a mutable index")
     with monkeypatch.context() as patch:
         patch.setattr(IntervalTCIndex, "build", refuse)
-        return open_index(graph, engine="frozen", propagation="vectorized",
-                          **options)
+        return open_index(graph, engine="frozen", **options)
 
 
 def direct_graphs():
@@ -444,23 +444,21 @@ class TestDirectBuild:
         assert rtcf_bytes(frozen) == staged_bytes(load_edge_list(str(path)),
                                                   policy="first_parent")
 
-    def test_fractional_numbering_takes_the_staged_route(self):
-        """``numbering`` stays on the staged route, with its validation
-        (fractional needs gap >= 2).  Its bytes would match: a fresh
-        build's numbers are integers either way."""
-        graph = random_dag(50, 2.0, random.Random(4))
-        frozen = open_index(graph, engine="frozen", propagation="vectorized",
-                            numbering="fractional", gap=4)
-        assert isinstance(frozen._source, IntervalTCIndex)
-        assert rtcf_bytes(frozen) == staged_bytes(graph, gap=4)
-        with pytest.raises(IndexStateError):
-            open_index(graph, engine="frozen", propagation="vectorized",
-                       numbering="fractional", gap=1)
+    @pytest.mark.parametrize("option", [
+        pytest.param({"numbering": "fractional"}, id="numbering"),
+        pytest.param({"auto_renumber": False}, id="auto-renumber"),
+        pytest.param({"renumber_strategy": "local"}, id="renumber-strategy")])
+    def test_update_only_options_raise(self, option):
+        """These options configure inserts, which a snapshot never
+        takes."""
+        graph = random_dag(20, 2.0, random.Random(4))
+        with pytest.raises(ReproError, match=next(iter(option))):
+            open_index(graph, engine="frozen", gap=4, **option)
 
-    def test_python_propagation_takes_the_staged_route(self):
-        graph = random_dag(40, 2.0, random.Random(6))
-        frozen = open_index(graph, engine="frozen", propagation="python")
-        assert isinstance(frozen._source, IntervalTCIndex)
+    def test_python_propagation_is_rejected(self):
+        graph = random_dag(20, 2.0, random.Random(6))
+        with pytest.raises(ReproError, match="propagate_intervals"):
+            open_index(graph, engine="frozen", propagation="python")
 
     def test_errors_match_the_staged_route(self, monkeypatch):
         with pytest.raises(CycleError):
@@ -483,8 +481,10 @@ class TestDirectBuild:
         fits = frozen_module._rank_keys_fit_int32(num_nodes)
         assert fits == (num_nodes == 46_340)
         assert frozen._dtype == (numpy.int32 if fits else numpy.int64)
-        assert rtcf_bytes(frozen) == staged_bytes(
-            graph, policy="first_parent", propagation="vectorized")
+        blob = rtcf_bytes(frozen)
+        assert blob == staged_bytes(graph, policy="first_parent")
+        assert blob == rtcf_bytes(build_reference_index(
+            graph, gap=DEFAULT_GAP, policy="first_parent").freeze())
 
 
 class TestLabelTable:
@@ -496,7 +496,7 @@ class TestLabelTable:
     def test_both_sides_of_the_limit(self, tmp_path, top, has_table):
         graph = DiGraph(arcs=[(0, 5), (5, top), (3, top), (3, 9)])
         index = IntervalTCIndex.build(graph)
-        frozen = open_index(graph, engine="frozen", propagation="vectorized")
+        frozen = open_index(graph, engine="frozen")
         assert (frozen._lut is not None) == has_table
         pairs = [(s, d) for s in graph.nodes() for d in graph.nodes()]
         expected = [index.reachable(s, d) for s, d in pairs]

@@ -218,8 +218,7 @@ class TestEngineBufferWriter:
         arcs = [((child - 1) // 2, child) for child in range(1, num_nodes)]
         arcs += [(node, node + 3) for node in range(0, num_nodes - 3, 997)]
         index = IntervalTCIndex.build(DiGraph(arcs=arcs),
-                                      policy="first_parent",
-                                      propagation="vectorized")
+                                      policy="first_parent")
         frozen = index.freeze()
         assert _interval_dtype_code(num_nodes) == code
         assert frozen._dtype == (numpy.int32 if code == DTYPE_INT32

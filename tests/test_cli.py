@@ -23,7 +23,7 @@ def edges_file(tmp_path):
 
 
 def test_import_stays_numpy_free():
-    """numpy loads on first use (a freeze, load or vectorized build), so
+    """numpy loads on first use (a build, freeze or load), so
     ``import repro`` and the CLI entry point do not pay for it."""
     completed = subprocess.run(
         [sys.executable, "-c",
@@ -144,6 +144,23 @@ class TestStats:
     def test_stats_with_inverse(self, edges_file, capsys):
         assert main(["stats", edges_file, "--inverse"]) == 0
         assert "inverse" in capsys.readouterr().out
+
+    def test_stats_json_covers_the_chain_engine(self, tmp_path, capsys):
+        """``engine="auto"`` picks the chain cover at 256+ nodes, so the
+        exported workload must run it too."""
+        import json
+
+        from repro.graph.generators import random_dag
+        path = tmp_path / "graph.edges"
+        path.write_text("".join(f"{source} {destination}\n" for source,
+                                destination in random_dag(400, 2.0,
+                                                          7).arcs()))
+        assert main(["stats", str(path), "--stats-json"]) == 0
+        histograms = json.loads(capsys.readouterr().out)["histograms"]
+        counts = [summary["count"] for key, summary in histograms.items()
+                  if key.startswith("tc_op_latency_seconds")
+                  and 'engine="ChainCoverIndex"' in key]
+        assert counts and max(counts) > 0
 
 
 class TestUpdate:
