@@ -55,7 +55,7 @@ _ADDRESS = re.compile(r"serving on ([0-9.]+):(\d+)")
 # ----------------------------------------------------------------------
 # server subprocess
 # ----------------------------------------------------------------------
-def start_server(edges: Path, *, coalesce: bool, max_batch: int = 512,
+def start_server(edges: Path, *, coalesce: bool,
                  workers: int = 0, snapshot_dir: Optional[Path] = None,
                  max_inflight: int = 0,
                  ) -> Tuple[subprocess.Popen, str, int]:
@@ -67,8 +67,7 @@ def start_server(edges: Path, *, coalesce: bool, max_batch: int = 512,
     ``overloaded`` responses instead of queueing without bound.
     """
     command = [sys.executable, "-m", "repro.cli", "serve", str(edges),
-               "--engine", "hybrid", "--port", "0",
-               "--max-batch", str(max_batch)]
+               "--engine", "hybrid", "--port", "0"]
     if workers:
         command += ["--workers", str(workers)]
         if snapshot_dir is not None:

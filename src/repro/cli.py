@@ -577,6 +577,10 @@ def _cmd_fuzz_replay(args: argparse.Namespace) -> int:
     return 0
 
 
+#: Span trees ``repro serve --trace`` keeps (the newest ones).
+SERVE_TRACE_LAST = 64
+
+
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
@@ -584,18 +588,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.server.app import ReachabilityServer
 
     async def _run(engine) -> None:
-        tracer = QueryTracer(capacity=args.trace_last) if args.trace else None
+        tracer = QueryTracer(capacity=SERVE_TRACE_LAST) if args.trace \
+            else None
         server = ReachabilityServer(
             engine,
             metrics=MetricsRegistry(),
             tracer=tracer,
             coalesce=not args.no_coalesce,
-            max_batch=args.max_batch,
             max_inflight=args.max_inflight,
             max_pending_writes=args.max_pending_writes,
-            shed_retry_after_ms=args.shed_retry_ms,
-            write_high_water=args.write_high_water,
-            write_grace=args.write_grace,
         )
         host, port = await server.start(args.host, args.port)
         server.install_signal_handlers()
@@ -619,17 +620,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             port=args.port,
             admin_port=args.metrics_port,
             coalesce=not args.no_coalesce,
-            max_batch=args.max_batch,
-            poll_interval=max(args.poll_ms, 0.1) / 1_000.0,
-            keep_generations=args.keep_generations,
             max_inflight=args.max_inflight,
             max_pending_writes=args.max_pending_writes,
-            shed_retry_after_ms=args.shed_retry_ms,
-            write_high_water=args.write_high_water,
-            write_grace=args.write_grace,
-            ack_timeout=args.ack_timeout,
-            ready_timeout=args.ready_timeout,
-            join_timeout=args.join_timeout,
         )
         # Fork before any event loop exists in this process.
         host, port = cluster.start()
@@ -651,17 +643,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print("shut down cleanly", flush=True)
 
     with _engine_for(args) as engine:
-        if args.read_only and not engine.capabilities().is_frozen_snapshot:
-            # Pin an immutable snapshot of whatever was loaded; the
-            # server then refuses every write with a read-only error.
-            if hasattr(engine, "snapshot"):
-                engine = engine.snapshot()
-            elif hasattr(engine, "freeze"):
-                engine = engine.freeze()
-            else:
-                raise ReproError(
-                    f"--read-only cannot snapshot a "
-                    f"{type(engine).__name__}")
         try:
             if args.workers > 0:
                 _run_cluster(engine)
@@ -913,21 +894,13 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=7411,
                        help="listening port (0 picks a free one)")
-    serve.add_argument("--read-only", action="store_true",
-                       help="serve a pinned immutable snapshot; refuse "
-                            "all writes")
     serve.add_argument("--no-coalesce", action="store_true",
                        help="answer each check individually instead of "
                             "batching concurrent checks through one "
                             "reachable_many call")
-    serve.add_argument("--max-batch", type=int, default=512,
-                       help="drain a batch early past this many pending "
-                            "checks (default 512)")
     serve.add_argument("--trace", action="store_true",
-                       help="record per-request span trees (see the "
-                            "'trace' command)")
-    serve.add_argument("--trace-last", type=int, default=64,
-                       help="trace ring-buffer capacity (default 64)")
+                       help="record span trees of served requests in "
+                            "the server's tracer (the newest 64)")
     serve.add_argument("--workers", type=int, default=0,
                        help="preforked read-worker count; 0 (default) "
                             "serves single-process, N>=1 runs a cluster "
@@ -942,12 +915,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="cluster admin/metrics port (merged "
                             "Prometheus view + /healthz); 0 picks a "
                             "free one")
-    serve.add_argument("--poll-ms", type=float, default=20.0,
-                       help="worker CURRENT-pointer poll interval, "
-                            "milliseconds (default 20)")
-    serve.add_argument("--keep-generations", type=int, default=2,
-                       help="snapshot generations retained after "
-                            "garbage collection (default 2)")
     serve.add_argument("--max-inflight", type=int, default=0,
                        help="admission cap on concurrently admitted "
                             "requests; excess is shed with an "
@@ -957,29 +924,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="cap on queued-but-unapplied writes; a full "
                             "queue sheds new writes with 'overloaded' "
                             "(0 = unlimited, the default)")
-    serve.add_argument("--shed-retry-ms", type=int, default=50,
-                       help="retry_after_ms hint carried by shed "
-                            "responses (default 50)")
-    serve.add_argument("--write-high-water", type=int, default=0,
-                       help="per-connection send-buffer high-water "
-                            "mark, bytes; connections whose buffer "
-                            "will not drain within --write-grace are "
-                            "aborted (0 = disabled, the default)")
-    serve.add_argument("--write-grace", type=float, default=10.0,
-                       help="seconds a full send buffer may take to "
-                            "drain before the connection is aborted "
-                            "(default 10)")
-    serve.add_argument("--ack-timeout", type=float, default=30.0,
-                       help="cluster: seconds a worker waits for an "
-                            "acked generation to become visible in its "
-                            "mmap (default 30)")
-    serve.add_argument("--ready-timeout", type=float, default=30.0,
-                       help="cluster: seconds to wait for a forked "
-                            "worker to start accepting (default 30)")
-    serve.add_argument("--join-timeout", type=float, default=10.0,
-                       help="cluster: seconds to wait for terminated "
-                            "workers to exit before SIGKILL "
-                            "(default 10)")
     serve.set_defaults(handler=_cmd_serve)
 
     return parser

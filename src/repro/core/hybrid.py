@@ -46,10 +46,9 @@ complete; soundness is immediate.  ``successors``, ``predecessors`` and
 the vectorised numpy route for the base portion of each batch.
 
 Compaction policy: a cost threshold (``max_delta``, deletions weighted by
-``delete_cost``) and a base-size ratio (``max_ratio``) trigger compaction
-on the mutation that crosses them; :meth:`compact` folds eagerly on
-demand; ``auto_compact_on_query=True`` defers folding to the next query
-instead, which batches the cost under bursty writes.
+:data:`DEFAULT_DELETE_COST`) and a base-size ratio (``max_ratio``)
+trigger compaction on the mutation that crosses them; :meth:`compact`
+folds eagerly on demand.
 
 Typical use::
 
@@ -77,7 +76,7 @@ from repro.graph.digraph import DiGraph, Node
 from repro.obs.instrument import instrumented
 
 #: Default compaction threshold, in delta cost units (1 per added arc or
-#: node, ``delete_cost`` per pre-snapshot deletion).
+#: node, :data:`DEFAULT_DELETE_COST` per pre-snapshot deletion).
 DEFAULT_MAX_DELTA = 64
 #: Compact early when the overlay reaches this fraction of the base size,
 #: so small indexes never carry proportionally huge deltas.
@@ -101,20 +100,14 @@ class HybridTCIndex(EngineBase):
 
     def __init__(self, index: IntervalTCIndex, *,
                  max_delta: int = DEFAULT_MAX_DELTA,
-                 max_ratio: float = DEFAULT_MAX_RATIO,
-                 delete_cost: int = DEFAULT_DELETE_COST,
-                 auto_compact_on_query: bool = False) -> None:
+                 max_ratio: float = DEFAULT_MAX_RATIO) -> None:
         if max_delta < 1:
             raise ReproError(f"max_delta must be >= 1, got {max_delta}")
         if not max_ratio > 0:
             raise ReproError(f"max_ratio must be positive, got {max_ratio}")
-        if delete_cost < 1:
-            raise ReproError(f"delete_cost must be >= 1, got {delete_cost}")
         self._index = index
         self._max_delta = max_delta
         self._max_ratio = max_ratio
-        self._delete_cost = delete_cost
-        self._auto_compact_on_query = auto_compact_on_query
         self._compactions = 0
         self._base = self._compile()
         self._reset_delta()
@@ -127,8 +120,6 @@ class HybridTCIndex(EngineBase):
               gap: int = DEFAULT_GAP,
               max_delta: int = DEFAULT_MAX_DELTA,
               max_ratio: float = DEFAULT_MAX_RATIO,
-              delete_cost: int = DEFAULT_DELETE_COST,
-              auto_compact_on_query: bool = False,
               rng: Union[random.Random, int, None] = None,
               **index_kwargs) -> "HybridTCIndex":
         """Compute the compressed closure of ``graph`` and snapshot it.
@@ -139,9 +130,7 @@ class HybridTCIndex(EngineBase):
         """
         index = IntervalTCIndex.build(graph, policy=policy, gap=gap, rng=rng,
                                       **index_kwargs)
-        return cls(index, max_delta=max_delta,
-                   max_ratio=max_ratio, delete_cost=delete_cost,
-                   auto_compact_on_query=auto_compact_on_query)
+        return cls(index, max_delta=max_delta, max_ratio=max_ratio)
 
     @classmethod
     def from_arcs(cls, arcs: Iterable[tuple], **kwargs) -> "HybridTCIndex":
@@ -159,9 +148,7 @@ class HybridTCIndex(EngineBase):
                 delta_nodes: Iterable[Node],
                 delta_cost: int, tainted: bool,
                 max_delta: int = DEFAULT_MAX_DELTA,
-                max_ratio: float = DEFAULT_MAX_RATIO,
-                delete_cost: int = DEFAULT_DELETE_COST,
-                auto_compact_on_query: bool = False) -> "HybridTCIndex":
+                max_ratio: float = DEFAULT_MAX_RATIO) -> "HybridTCIndex":
         """Adopt persisted state without recompiling the base snapshot.
 
         This is the warm-restart path used by
@@ -173,8 +160,6 @@ class HybridTCIndex(EngineBase):
         self._index = index
         self._max_delta = max_delta
         self._max_ratio = max_ratio
-        self._delete_cost = delete_cost
-        self._auto_compact_on_query = auto_compact_on_query
         self._compactions = 0
         self._base = base.detach()
         self._reset_delta()
@@ -341,7 +326,7 @@ class HybridTCIndex(EngineBase):
         self._delta_memo.clear()
         self._entry_memo.clear()
         self._arc_ranks = None
-        if not self._auto_compact_on_query and self._over_threshold():
+        if self._over_threshold():
             self.compact()
 
     # ------------------------------------------------------------------
@@ -397,7 +382,7 @@ class HybridTCIndex(EngineBase):
             self._note_mutation(0)
         else:
             self._tainted = True
-            self._note_mutation(self._delete_cost)
+            self._note_mutation(DEFAULT_DELETE_COST)
 
     @instrumented("remove_node")
     def remove_node(self, node: Node) -> None:
@@ -417,7 +402,7 @@ class HybridTCIndex(EngineBase):
             self._note_mutation(0)
         else:
             self._tainted = True
-            self._note_mutation(self._delete_cost)
+            self._note_mutation(DEFAULT_DELETE_COST)
 
     # ------------------------------------------------------------------
     # routing
@@ -428,18 +413,13 @@ class HybridTCIndex(EngineBase):
         Detects out-of-band mutations (someone updated :attr:`index`
         directly: the epoch moved without the overlay seeing it) and
         taints — the delta log no longer tells the whole story, but the
-        write-through index is still exact.  Under
-        ``auto_compact_on_query`` this is also where deferred folding
-        happens.
+        write-through index is still exact.
         """
         if self._index.epoch != self._expected_epoch:
             self._tainted = True
             self._expected_epoch = self._index.epoch
             self._delta_memo.clear()
             self._entry_memo.clear()
-        if self._auto_compact_on_query and (self._tainted
-                                            or self._over_threshold()):
-            self.compact()
         return self._tainted
 
     def _require(self, node: Node) -> None:
@@ -736,7 +716,6 @@ class HybridTCIndex(EngineBase):
             "threshold": self._threshold(),
             "tainted": self._tainted,
             "compactions": self._compactions,
-            "auto_compact_on_query": self._auto_compact_on_query,
             "base": self._base.stats(),
         }
 
@@ -750,8 +729,6 @@ class HybridTCIndex(EngineBase):
             "settings": {
                 "max_delta": self._max_delta,
                 "max_ratio": self._max_ratio,
-                "delete_cost": self._delete_cost,
-                "auto_compact_on_query": self._auto_compact_on_query,
             },
         }
 

@@ -191,7 +191,14 @@ def _engine_sections(frozen: FrozenTCIndex, np):
     else:
         numbers = frozen._numbers
         _check_integer_numbers(numbers)
-        numbers = np.asarray(numbers, dtype=np.int64)
+        try:
+            numbers = np.asarray(numbers, dtype=np.int64)
+        except OverflowError:
+            raise ReproError(
+                "RTCF stores postorder numbers as int64, and this index "
+                "numbers nodes past that range (a gap too large for its "
+                "size); serialise it with the JSON format instead "
+                "(save_frozen_index(..., format='json'))") from None
         nodes = frozen._nodes
         labels = (np.asarray(nodes, dtype=np.int64)
                   if frozen._lut is not None or _int_labels(nodes) else None)

@@ -283,6 +283,11 @@ def hybrid_to_dict(hybrid: "HybridTCIndex") -> dict:
     }
 
 
+#: Overlay settings that documents written by older releases carry but
+#: :meth:`HybridTCIndex.restore` no longer takes; dropped on read.
+_RETIRED_HYBRID_SETTINGS = ("delete_cost", "auto_compact_on_query")
+
+
 def hybrid_from_dict(document: dict) -> "HybridTCIndex":
     """Rehydrate a hybrid engine from :func:`hybrid_to_dict` output."""
     from repro.core.hybrid import HybridTCIndex
@@ -296,7 +301,9 @@ def hybrid_from_dict(document: dict) -> "HybridTCIndex":
     index = index_from_dict(document["index"])
     base = frozen_from_dict(document["base"])
     delta = document["delta"]
-    settings = document.get("settings", {})
+    settings = {name: value
+                for name, value in document.get("settings", {}).items()
+                if name not in _RETIRED_HYBRID_SETTINGS}
     return HybridTCIndex.restore(
         index, base,
         delta_arcs=[(decode_label(source), decode_label(destination))

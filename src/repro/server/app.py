@@ -35,7 +35,7 @@ from repro.errors import CycleError, NodeNotFoundError, ReproError
 from repro.obs.export import render_json, render_prometheus
 from repro.obs.metrics import MetricsRegistry
 from repro.server import protocol
-from repro.server.coalesce import DEFAULT_MAX_BATCH, EXPIRED, BatchCoalescer
+from repro.server.coalesce import EXPIRED, BatchCoalescer
 from repro.server.protocol import (DEFAULT_MAX_FRAME, ERROR_CODES,
                                    CannedError, FrameParser,
                                    OverloadedError, ProtocolError,
@@ -47,6 +47,15 @@ from repro.server.state import ServeState
 __all__ = ["ReachabilityServer"]
 
 _READ_CHUNK = 1 << 16
+#: Backoff hint, milliseconds, carried by ``overloaded`` errors.
+SHED_RETRY_AFTER_MS = 50
+#: Seconds a connection whose send buffer sits at the transport's
+#: high-water mark (asyncio's default, 64 KiB) may take to drain before
+#: it is aborted: one stalled reader must not pin server memory.
+WRITE_GRACE = 10.0
+#: Seconds :meth:`ReachabilityServer.stop` lets connections that still
+#: owe responses go idle before force-closing them.
+DRAIN_GRACE = 5.0
 
 
 class _OrderedWriter:
@@ -180,15 +189,9 @@ class ReachabilityServer:
     def __init__(self, engine=None, *,
                  state=None, metrics: Optional[MetricsRegistry] = None,
                  tracer=None, coalesce: bool = True,
-                 max_batch: int = DEFAULT_MAX_BATCH,
-                 max_frame: int = DEFAULT_MAX_FRAME,
                  allow_shutdown: bool = True,
-                 drain_grace: float = 5.0,
                  max_inflight: int = 0,
-                 max_pending_writes: int = 0,
-                 shed_retry_after_ms: int = 50,
-                 write_high_water: int = 0,
-                 write_grace: float = 10.0) -> None:
+                 max_pending_writes: int = 0) -> None:
         if (engine is None) == (state is None):
             raise ReproError("pass exactly one of engine= or state=")
         self.metrics = metrics if metrics is not None else MetricsRegistry()
@@ -199,24 +202,14 @@ class ReachabilityServer:
             engine, metrics=self.metrics, tracer=tracer,
             max_pending_writes=max_pending_writes)
         self.coalescer = BatchCoalescer(
-            lambda: self.state.snapshot, max_batch=max_batch,
-            enabled=coalesce, metrics=self.metrics)
-        self.max_frame = max_frame
+            lambda: self.state.snapshot, enabled=coalesce,
+            metrics=self.metrics)
         self.allow_shutdown = allow_shutdown
-        self.drain_grace = drain_grace
         #: Admission cap on concurrently admitted requests; 0 disables.
         #: Requests beyond the budget are shed with ``overloaded`` before
         #: any engine work — the queue never grows without bound, so
         #: admitted requests keep a bounded latency under overload.
         self.max_inflight = int(max_inflight)
-        #: Backoff hint carried by ``overloaded`` errors.
-        self.shed_retry_after_ms = int(shed_retry_after_ms)
-        #: Per-connection send-buffer high-water mark, bytes; 0 disables.
-        #: Above it, writes to that connection must drain within
-        #: ``write_grace`` seconds or the connection is aborted — one
-        #: slow reader must not pin server memory or stall the loop.
-        self.write_high_water = int(write_high_water)
-        self.write_grace = float(write_grace)
         self._inflight = 0
         self._servers: List[asyncio.AbstractServer] = []
         #: open connection -> "idle" | "busy" | its _OrderedWriter.
@@ -238,7 +231,7 @@ class ReachabilityServer:
             "overloaded",
             f"in-flight budget exhausted (cap {self.max_inflight}); "
             "request not applied - retry after the hint",
-            retry_after_ms=self.shed_retry_after_ms)
+            retry_after_ms=SHED_RETRY_AFTER_MS)
         self._slow_aborts = self.metrics.counter(
             "tc_server_slow_client_aborts_total",
             help="connections aborted because their send buffer would "
@@ -323,7 +316,7 @@ class ReachabilityServer:
         """Stop accepting, drain in-flight requests, then the writer.
 
         Idle connections are closed immediately; connections with
-        responses still owed get up to ``drain_grace`` seconds to go
+        responses still owed get up to :data:`DRAIN_GRACE` seconds to go
         idle before being force-closed.  Only after every connection is
         gone does the write queue drain and the state shut down.
         """
@@ -334,7 +327,7 @@ class ReachabilityServer:
             await server.wait_closed()
         if self._conns:
             loop = asyncio.get_running_loop()
-            deadline = loop.time() + self.drain_grace
+            deadline = loop.time() + DRAIN_GRACE
             while self._conns:
                 for writer, entry in list(self._conns.items()):
                     if self._conn_idle(entry) and not writer.is_closing():
@@ -427,7 +420,7 @@ class ReachabilityServer:
             raise OverloadedError(
                 f"in-flight budget exhausted ({self._inflight} admitted, "
                 f"cap {self.max_inflight}); retry after the hint",
-                retry_after_ms=self.shed_retry_after_ms)
+                retry_after_ms=SHED_RETRY_AFTER_MS)
         self._inflight += 1
         self._inflight_gauge.set(self._inflight)
 
@@ -438,19 +431,20 @@ class ReachabilityServer:
     async def _guarded_drain(self, writer: asyncio.StreamWriter) -> bool:
         """Drain ``writer``; abort connections that will not.
 
-        Returns False when the connection was aborted.  Only engages a
-        timeout when a high-water mark is configured — otherwise this is
-        the plain backpressure drain."""
-        if self.write_high_water <= 0:
+        Returns False when the connection was aborted.  The grace timer
+        is armed only when the send buffer is past the transport's
+        high-water mark, the one case where ``drain()`` can block;
+        otherwise this is the plain backpressure drain."""
+        transport = writer.transport
+        if (transport is None or transport.get_write_buffer_size()
+                <= transport.get_write_buffer_limits()[1]):
             await writer.drain()
             return True
         try:
-            await asyncio.wait_for(writer.drain(), self.write_grace)
+            await asyncio.wait_for(writer.drain(), WRITE_GRACE)
         except asyncio.TimeoutError:
             self._slow_aborts.inc()
-            transport = writer.transport
-            if transport is not None:
-                transport.abort()
+            transport.abort()
             return False
         return True
 
@@ -484,17 +478,11 @@ class ReachabilityServer:
 
     async def _framed_loop(self, first: bytes, reader: asyncio.StreamReader,
                            writer: asyncio.StreamWriter) -> None:
-        parser = FrameParser(self.max_frame)
+        parser = FrameParser()
         ordered = _OrderedWriter(writer)
         # Drain bookkeeping: idle means every allocated response has
         # been emitted, so shutdown may close this connection at once.
         self._conns[writer] = ordered
-        if self.write_high_water > 0 and writer.transport is not None:
-            # Lower the transport's pause threshold so a reader that
-            # stops consuming trips ``drain()`` (and the grace timer)
-            # after kilobytes, not the default 64 KiB per direction.
-            writer.transport.set_write_buffer_limits(
-                high=self.write_high_water)
         chunk = first
         while chunk:
             try:
@@ -865,7 +853,7 @@ class ReachabilityServer:
             if not chunk:
                 return
             raw.extend(chunk)
-            if len(raw) > self.max_frame:
+            if len(raw) > DEFAULT_MAX_FRAME:
                 writer.write(_http_response(431, "text/plain",
                                             b"headers too large\n"))
                 await writer.drain()
@@ -895,7 +883,7 @@ class ReachabilityServer:
                                         b"bad Content-Length\n"))
             await writer.drain()
             return
-        if length > self.max_frame:
+        if length > DEFAULT_MAX_FRAME:
             # Refuse before buffering: a multi-gigabyte declared body
             # must cost us the header bytes already read, not RAM.
             writer.write(_http_response(413, "text/plain",

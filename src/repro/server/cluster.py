@@ -51,25 +51,23 @@ from repro.obs.export import render_prometheus_snapshots
 from repro.obs.metrics import MetricsRegistry
 from repro.server.app import ReachabilityServer
 from repro.server.client import ReachabilityClient
-from repro.server.coalesce import DEFAULT_MAX_BATCH
 from repro.server.generations import GenerationStore
-from repro.server.protocol import (DEFAULT_MAX_FRAME, ERROR_CODES,
-                                   ProtocolError)
+from repro.server.protocol import ERROR_CODES, ProtocolError
 from repro.server.state import ServeState, Snapshot
 
 __all__ = ["ClusterServer", "PublishingState", "WorkerState"]
 
-#: Default for how long a worker may wait for an acked generation to
-#: become visible in its own mmap before declaring the cluster wedged.
-#: Tunable per instance (``WorkerState(ack_timeout=...)`` /
-#: ``ClusterServer(ack_timeout=...)`` / ``repro serve --ack-timeout``).
+#: How long a worker may wait for an acked generation to become
+#: visible in its own mmap before declaring the cluster wedged.
 DEFAULT_ACK_TIMEOUT = 30.0
-#: Default wait for a forked worker to start accepting
-#: (``ClusterServer(ready_timeout=...)`` / ``--ready-timeout``).
+#: Wait for a forked worker to start accepting.
 DEFAULT_READY_TIMEOUT = 30.0
-#: Default wait for terminated workers to exit before SIGKILL
-#: (``ClusterServer(join_timeout=...)`` / ``--join-timeout``).
+#: Wait for terminated workers to exit before SIGKILL.
 DEFAULT_JOIN_TIMEOUT = 10.0
+#: Seconds between a worker's polls of ``CURRENT``.  Only reads on
+#: other connections wait on it: a forwarded write re-attaches the
+#: forwarding worker before its ack.
+POLL_INTERVAL = 0.01
 
 #: sun_path is 108 bytes on Linux (104 on BSDs); leave headroom for
 #: the ``worker-NN.sock`` suffix.
@@ -140,18 +138,12 @@ class WorkerState:
 
     def __init__(self, store: GenerationStore, *, worker_id: int = 0,
                  writer_path: Optional[str] = None,
-                 metrics: Optional[MetricsRegistry] = None,
-                 poll_interval: float = 0.02,
-                 max_frame: int = DEFAULT_MAX_FRAME,
-                 ack_timeout: float = DEFAULT_ACK_TIMEOUT) -> None:
+                 metrics: Optional[MetricsRegistry] = None) -> None:
         self._store = store
         self.worker_id = worker_id
         self._writer_path = writer_path
         self._metrics = metrics if metrics is not None \
             else MetricsRegistry(enabled=False)
-        self._poll_interval = poll_interval
-        self._max_frame = max_frame
-        self.ack_timeout = float(ack_timeout)
         self._client: Optional[ReachabilityClient] = None
         self._client_lock: Optional[asyncio.Lock] = None
         self._poll_task: Optional[asyncio.Task] = None
@@ -237,7 +229,7 @@ class WorkerState:
 
     async def _poll_loop(self) -> None:
         while not self._closed:
-            await asyncio.sleep(self._poll_interval)
+            await asyncio.sleep(POLL_INTERVAL)
             try:
                 self.refresh()
             except Exception:  # noqa: BLE001 - keep polling
@@ -249,7 +241,7 @@ class WorkerState:
         The writer publishes the generation before acking, so normally
         the very first refresh lands it; the loop only absorbs fs-level
         races."""
-        deadline = asyncio.get_running_loop().time() + self.ack_timeout
+        deadline = asyncio.get_running_loop().time() + DEFAULT_ACK_TIMEOUT
         while self.snapshot.epoch < epoch:
             try:
                 self.refresh()
@@ -271,7 +263,7 @@ class WorkerState:
         async with self._client_lock:
             if self._client is None or self._client.closed:
                 self._client = await ReachabilityClient.connect_unix(
-                    self._writer_path, max_frame=self._max_frame)
+                    self._writer_path)
             return self._client
 
     async def submit(self, op: str, args: Tuple[Any, ...], *,
@@ -335,11 +327,8 @@ class _WorkerConfig:
     pickling: the fork start method hands the child the live objects,
     which is what lets the no-reuseport fallback ship a socket)."""
 
-    __slots__ = ("worker_id", "root", "keep", "writer_path", "admin_path",
-                 "host", "port", "listen_sock", "coalesce", "max_batch",
-                 "max_frame", "poll_interval", "ack_timeout",
-                 "max_inflight", "shed_retry_after_ms", "write_high_water",
-                 "write_grace")
+    __slots__ = ("worker_id", "root", "writer_path", "admin_path",
+                 "host", "port", "listen_sock", "coalesce", "max_inflight")
 
     def __init__(self, **kwargs) -> None:
         for name in self.__slots__:
@@ -364,21 +353,12 @@ def _worker_main(config: _WorkerConfig, ready) -> None:
 async def _worker_async(config: _WorkerConfig, ready) -> None:
     registry = MetricsRegistry(
         default_labels={"worker_id": str(config.worker_id)})
-    store = GenerationStore(config.root, keep=config.keep)
-    state = WorkerState(store, worker_id=config.worker_id,
-                        writer_path=config.writer_path,
-                        metrics=registry,
-                        poll_interval=config.poll_interval,
-                        max_frame=config.max_frame,
-                        ack_timeout=config.ack_timeout)
+    state = WorkerState(GenerationStore(config.root),
+                        worker_id=config.worker_id,
+                        writer_path=config.writer_path, metrics=registry)
     server = ReachabilityServer(
         state=state, metrics=registry, coalesce=config.coalesce,
-        max_batch=config.max_batch,
-        max_frame=config.max_frame, allow_shutdown=False,
-        max_inflight=config.max_inflight,
-        shed_retry_after_ms=config.shed_retry_after_ms,
-        write_high_water=config.write_high_water,
-        write_grace=config.write_grace)
+        allow_shutdown=False, max_inflight=config.max_inflight)
     if config.listen_sock is not None:
         await server.start(sock=config.listen_sock)
     else:
@@ -448,17 +428,9 @@ class ClusterServer:
                  snapshot_dir=None, host: str = "127.0.0.1",
                  port: int = 0, admin_port: int = 0,
                  coalesce: bool = True,
-                 max_batch: int = DEFAULT_MAX_BATCH,
-                 max_frame: int = DEFAULT_MAX_FRAME,
-                 poll_interval: float = 0.02, keep_generations: int = 2,
                  metrics: Optional[MetricsRegistry] = None,
                  tracer=None,
-                 max_inflight: int = 0, max_pending_writes: int = 0,
-                 shed_retry_after_ms: int = 50,
-                 write_high_water: int = 0, write_grace: float = 10.0,
-                 ack_timeout: float = DEFAULT_ACK_TIMEOUT,
-                 ready_timeout: float = DEFAULT_READY_TIMEOUT,
-                 join_timeout: float = DEFAULT_JOIN_TIMEOUT) -> None:
+                 max_inflight: int = 0, max_pending_writes: int = 0) -> None:
         if workers < 1:
             raise ReproError(f"need at least one worker, got {workers}")
         self.workers = workers
@@ -467,17 +439,7 @@ class ClusterServer:
         self.admin_port = admin_port
         self.admin_host: Optional[str] = None
         self.coalesce = coalesce
-        self.max_batch = max_batch
-        self.max_frame = max_frame
-        self.poll_interval = poll_interval
         self.max_inflight = int(max_inflight)
-        self.max_pending_writes = int(max_pending_writes)
-        self.shed_retry_after_ms = int(shed_retry_after_ms)
-        self.write_high_water = int(write_high_water)
-        self.write_grace = float(write_grace)
-        self.ack_timeout = float(ack_timeout)
-        self.ready_timeout = float(ready_timeout)
-        self.join_timeout = float(join_timeout)
         self.metrics = metrics if metrics is not None else MetricsRegistry(
             default_labels={"worker_id": "writer"})
         self._owned_dir: Optional[tempfile.TemporaryDirectory] = None
@@ -485,7 +447,7 @@ class ClusterServer:
             self._owned_dir = tempfile.TemporaryDirectory(
                 prefix="repro-cluster-")
             snapshot_dir = self._owned_dir.name
-        self.store = GenerationStore(snapshot_dir, keep=keep_generations)
+        self.store = GenerationStore(snapshot_dir)
         self.state = PublishingState(engine, self.store,
                                      metrics=self.metrics, tracer=tracer,
                                      max_pending_writes=max_pending_writes)
@@ -548,18 +510,11 @@ class ClusterServer:
     def _worker_config(self, worker_id: int) -> _WorkerConfig:
         return _WorkerConfig(
             worker_id=worker_id, root=str(self.store.root),
-            keep=self.store.keep,
             writer_path=None if self.state.read_only else self.writer_path,
             admin_path=self.worker_admin_path(worker_id),
             host=self.host, port=self.port,
             listen_sock=None if self._reuseport else self._listen_sock,
-            coalesce=self.coalesce,
-            max_batch=self.max_batch, max_frame=self.max_frame,
-            poll_interval=self.poll_interval, ack_timeout=self.ack_timeout,
-            max_inflight=self.max_inflight,
-            shed_retry_after_ms=self.shed_retry_after_ms,
-            write_high_water=self.write_high_water,
-            write_grace=self.write_grace)
+            coalesce=self.coalesce, max_inflight=self.max_inflight)
 
     def _spawn_worker(self, worker_id: int) -> None:
         """Fork one worker and wait until it is accepting. Runs in the
@@ -570,11 +525,11 @@ class ClusterServer:
             target=_worker_main, args=(record.config, ready),
             daemon=True, name=f"repro-worker-{worker_id}")
         process.start()
-        if not ready.wait(self.ready_timeout):
+        if not ready.wait(DEFAULT_READY_TIMEOUT):
             process.terminate()
             raise ReproError(
                 f"worker {worker_id} failed to become ready within "
-                f"{self.ready_timeout:.0f}s")
+                f"{DEFAULT_READY_TIMEOUT:g}s")
         record.process = process
 
     # ------------------------------------------------------------------
@@ -584,11 +539,7 @@ class ClusterServer:
         """Start the writer/admin server; returns the admin address."""
         self.server = _ParentServer(
             self, state=self.state, metrics=self.metrics,
-            coalesce=False, max_frame=self.max_frame,
-            max_inflight=self.max_inflight,
-            shed_retry_after_ms=self.shed_retry_after_ms,
-            write_high_water=self.write_high_water,
-            write_grace=self.write_grace)
+            coalesce=False, max_inflight=self.max_inflight)
         await self.server.start_unix(self.writer_path)
         admin_host, admin_port = await self.server.start(
             self.host, self.admin_port)
@@ -689,14 +640,14 @@ class ClusterServer:
         for record in self._workers.values():
             if record.process is not None and record.process.is_alive():
                 record.process.terminate()  # SIGTERM -> graceful drain
-        deadline = loop.time() + self.join_timeout
+        deadline = loop.time() + DEFAULT_JOIN_TIMEOUT
         for record in self._workers.values():
             process = record.process
             if process is None:
                 continue
             while process.is_alive() and loop.time() < deadline:
                 await asyncio.sleep(0.02)
-            if process.is_alive():  # pragma: no cover - wedged worker
+            if process.is_alive():  # wedged: ignored SIGTERM
                 process.kill()
                 await loop.run_in_executor(None, process.join, 1.0)
         if self.server is not None:

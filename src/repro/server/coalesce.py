@@ -13,8 +13,8 @@ The drain is queued with ``call_soon``, so every check whose socket
 data arrived in the same event-loop ready cycle lands in the same
 batch, at zero added latency — closed-loop clients are never left
 waiting on a timer for traffic that cannot arrive (their next request
-is blocked on our answer).  A size threshold (``max_batch`` pairs)
-drains early, bounding both latency and peak batch memory.
+is blocked on our answer).  A size threshold (:data:`DEFAULT_MAX_BATCH`
+pairs) drains early, bounding both latency and peak batch memory.
 
 Submissions are *groups*: a connection that read several pipelined
 checks in one socket chunk submits them as one group, so per-request
@@ -64,7 +64,8 @@ def _member(engine, node) -> bool:
     except TypeError:
         return False
 
-#: Default drain-now threshold, total pairs across pending groups.
+
+#: Drain-now threshold, total pairs across pending groups.
 DEFAULT_MAX_BATCH = 512
 #: Below this many pairs a drain answers with scalar lookups: the
 #: vectorised ``reachable_many`` carries ~13µs of fixed array-building
@@ -107,11 +108,9 @@ class BatchCoalescer:
     state).
     """
 
-    def __init__(self, get_snapshot, *,
-                 max_batch: int = DEFAULT_MAX_BATCH, enabled: bool = True,
+    def __init__(self, get_snapshot, *, enabled: bool = True,
                  metrics: Optional[MetricsRegistry] = None) -> None:
         self._get_snapshot = get_snapshot
-        self.max_batch = max_batch
         self.enabled = enabled
         self._pending: List[CheckGroup] = []
         self._pending_pairs = 0
@@ -173,7 +172,7 @@ class BatchCoalescer:
         self._schedule_drain(asyncio.get_running_loop())
 
     def _schedule_drain(self, loop) -> None:
-        if self._pending_pairs >= self.max_batch:
+        if self._pending_pairs >= DEFAULT_MAX_BATCH:
             self._drain()
             return
         if self._drain_handle is None:
@@ -258,6 +257,5 @@ class BatchCoalescer:
     def stats(self) -> dict:
         return {
             "enabled": self.enabled,
-            "max_batch": self.max_batch,
             "pending_pairs": self._pending_pairs,
         }

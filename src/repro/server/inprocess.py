@@ -40,7 +40,6 @@ class ServerThread:
 
     def __init__(self, engine_factory, *, coalesce: bool = True,
                  call_timeout: float = DEFAULT_CALL_TIMEOUT,
-                 server_kwargs: Optional[dict] = None,
                  client_kwargs: Optional[dict] = None,
                  proxy_factory=None) -> None:
         self._loop = asyncio.new_event_loop()
@@ -51,7 +50,6 @@ class ServerThread:
         self._engine_factory = engine_factory
         self._coalesce = coalesce
         self.call_timeout = float(call_timeout)
-        self._server_kwargs = dict(server_kwargs or {})
         self._client_kwargs = dict(client_kwargs or {})
         #: Called inside the loop thread with the server's (host, port);
         #: must return an object exposing ``host``/``port`` to dial
@@ -84,9 +82,8 @@ class ServerThread:
             self._loop.close()
 
     async def _startup(self) -> None:
-        kwargs = {"coalesce": self._coalesce}
-        kwargs.update(self._server_kwargs)
-        server = ReachabilityServer(self._engine_factory(), **kwargs)
+        server = ReachabilityServer(self._engine_factory(),
+                                    coalesce=self._coalesce)
         host, port = await server.start("127.0.0.1", 0)
         if self._proxy_factory is not None:
             self.proxy = await self._proxy_factory(host, port)
@@ -170,15 +167,11 @@ class ClusterThread:
 
     def __init__(self, engine_factory, *, workers: int = 2,
                  coalesce: bool = True,
-                 poll_interval: float = 0.01,
-                 call_timeout: float = DEFAULT_CALL_TIMEOUT,
-                 **cluster_kwargs: Any) -> None:
+                 call_timeout: float = DEFAULT_CALL_TIMEOUT) -> None:
         from repro.server.cluster import ClusterServer
-        kwargs = {"workers": workers, "coalesce": coalesce,
-                  "poll_interval": poll_interval}
-        kwargs.update(cluster_kwargs)
         self.call_timeout = float(call_timeout)
-        self._cluster = ClusterServer(engine_factory(), port=0, **kwargs)
+        self._cluster = ClusterServer(engine_factory(), port=0,
+                                      workers=workers, coalesce=coalesce)
         self.host, self.port = self._cluster.start()
         self._loop = asyncio.new_event_loop()
         self._ready = threading.Event()

@@ -10,10 +10,9 @@ a swap lands mid-flight: answers are internally consistent, never torn.
 
 Writes funnel through one queue drained by a single asyncio task.  The
 writer drains every queued mutation, applies them in submission order to
-the write-through engine (the hybrid's Section 4 algorithms keep the
-mutable truth exact in microseconds), folds the delta into a fresh
-frozen base (:meth:`HybridTCIndex.compact` — one freeze of
-already-updated state, no closure recomputation), and then **publishes**:
+the engine (the Section 4 algorithms keep the mutable truth exact in
+microseconds), compiles one fresh frozen snapshot of the updated state
+(one freeze, no closure recomputation), and then **publishes**:
 a single attribute assignment swaps the new :class:`Snapshot` in for all
 future reads.  Only after the swap are the writes acknowledged, so a
 client that has seen a write ack at epoch *e* is guaranteed every later
@@ -32,7 +31,6 @@ import time
 from typing import Any, Iterable, List, Optional, Tuple
 
 from repro.core.frozen import FrozenTCIndex
-from repro.core.hybrid import HybridTCIndex
 from repro.errors import ReproError
 from repro.obs.metrics import MetricsRegistry
 
@@ -87,11 +85,12 @@ class ServeState:
 
     ``engine`` may be any :class:`~repro.core.engine.TCEngine`:
 
-    * a :class:`HybridTCIndex` (the intended shape) — writes go through
+    * a :class:`~repro.core.hybrid.HybridTCIndex` — writes go through
       its write-through index, publishes fold the delta via
-      :meth:`~HybridTCIndex.compact` and pin the fresh base;
-    * an :class:`IntervalTCIndex` — wrapped into a hybrid so the serve
-      path is identical;
+      :meth:`~repro.core.hybrid.HybridTCIndex.snapshot` and pin the
+      fresh base;
+    * an :class:`~repro.core.index.IntervalTCIndex` — writes apply to
+      it directly, publishes freeze it into a detached snapshot;
     * any compiled snapshot — a :class:`FrozenTCIndex` (including
       mmap-backed RTCF views) or a
       :class:`~repro.core.chain_cover.ChainCoverIndex` — a read-only
@@ -99,7 +98,7 @@ class ServeState:
       every write draws a ``read-only`` error;
     * a :class:`~repro.durability.store.DurableTCIndex` — writes are
       journalled through the store facade; snapshots come from its inner
-      engine (compacted when hybrid, frozen otherwise).
+      engine exactly as above.
     """
 
     def __init__(self, engine, *, metrics: Optional[MetricsRegistry] = None,
@@ -112,8 +111,7 @@ class ServeState:
         #: bounded memory under write storms, and the refusal happens
         #: *before* enqueue, so a shed write was never applied.
         self.max_pending_writes = int(max_pending_writes)
-        self._write_target, self._hybrid, self._frozen = \
-            self._classify(engine)
+        self._write_target, self._compile = self._classify(engine)
         self.engine = engine
         # Created in start(): pre-3.10 asyncio primitives bind their
         # event loop at construction, and ServeState may be built before
@@ -121,7 +119,7 @@ class ServeState:
         self._queue: Optional["asyncio.Queue[WriteOp]"] = None
         self._writer_task: Optional[asyncio.Task] = None
         self._closed = False
-        self.snapshot = Snapshot(0, self._compile())
+        self.snapshot = Snapshot(0, self._traced(self._compile()))
         self._instruments()
         self._set_epoch_gauge()
 
@@ -129,7 +127,8 @@ class ServeState:
     # construction
     # ------------------------------------------------------------------
     def _classify(self, engine):
-        """Return (write_target, hybrid_for_snapshots, frozen_or_None).
+        """Return (write_target, compile): where writes go, and how to
+        build a detached immutable engine for the current exact state.
 
         Dispatch is on :meth:`TCEngine.capabilities`, so any
         conformant engine is servable without this module knowing its
@@ -144,37 +143,25 @@ class ServeState:
         if not caps.supports_updates:
             # Frozen buffers, chain-cover labels: the
             # engine *is* its own immutable snapshot.
-            return None, None, engine
-        if caps.durable:
-            inner = engine.engine
-            inner_kind = inner.capabilities().kind
-            if inner_kind == "hybrid":
-                return engine, inner, None
-            if inner_kind == "interval":
-                return engine, None, None
-            raise ReproError(
-                f"cannot serve a {type(engine).__name__} wrapping "
-                f"{type(inner).__name__}")
-        if caps.kind == "hybrid":
-            return engine, engine, None
-        if caps.kind == "interval":
-            hybrid = HybridTCIndex.from_index(
-                engine, max_delta=1 << 30, max_ratio=float(1 << 30))
-            return hybrid, hybrid, None
-        raise ReproError(
-            f"cannot serve a {type(engine).__name__}: updatable engine "
-            f"kind {caps.kind!r} has no serve adapter")
-
-    def _compile(self):
-        """A detached immutable engine for the current exact state."""
-        if self._frozen is not None:
-            return self._frozen
-        if self._hybrid is not None:
+            return None, lambda: engine
+        inner = engine.engine if caps.durable else engine
+        kind = inner.capabilities().kind
+        if kind == "hybrid":
             # Fold the delta so reads stay flat-array fast; the fresh
             # pinned base *is* the publishable snapshot.
-            return self._hybrid.snapshot()
-        index = self.engine.index  # durable store over a plain index
-        return FrozenTCIndex.from_index(index).detach()
+            return engine, inner.snapshot
+        if kind == "interval":
+            return engine, lambda: FrozenTCIndex.from_index(inner).detach()
+        raise ReproError(
+            f"cannot serve a {type(engine).__name__}: updatable engine "
+            f"kind {kind!r} has no serve adapter")
+
+    def _traced(self, engine):
+        """``engine``, with the server's tracer (if any) attached: every
+        lookup it answers, a coalesced check's included, leaves a span."""
+        if self._tracer is not None:
+            engine._tracer = self._tracer
+        return engine
 
     def _instruments(self) -> None:
         registry = self._metrics
@@ -349,7 +336,7 @@ class ServeState:
                 applied.append(write)
         if applied:
             started = time.perf_counter_ns()
-            engine = self._compile()
+            engine = self._traced(self._compile())
             self.snapshot = Snapshot(self.snapshot.epoch + 1, engine)
             self._publish_seconds.observe_ns(
                 time.perf_counter_ns() - started)

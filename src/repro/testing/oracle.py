@@ -351,8 +351,7 @@ def _build_cluster(graph: DiGraph):
     import weakref
     from repro.core.hybrid import HybridTCIndex
     from repro.server.inprocess import ClusterThread, ServerBackedEngine
-    thread = ClusterThread(lambda: HybridTCIndex.build(graph), workers=2,
-                           poll_interval=0.01)
+    thread = ClusterThread(lambda: HybridTCIndex.build(graph), workers=2)
     engine = ServerBackedEngine(thread)
     weakref.finalize(engine, thread.close)
     return engine

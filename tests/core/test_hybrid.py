@@ -58,8 +58,6 @@ class TestConstruction:
             HybridTCIndex(index, max_delta=0)
         with pytest.raises(ReproError):
             HybridTCIndex(index, max_ratio=0)
-        with pytest.raises(ReproError):
-            HybridTCIndex(index, delete_cost=0)
 
     def test_unknown_node_raises(self, diamond):
         hybrid = HybridTCIndex.build(diamond)
@@ -194,16 +192,6 @@ class TestCompaction:
             assert hybrid.successors(node) == before[node][0]
             assert hybrid.predecessors(node) == before[node][1]
 
-    def test_auto_compact_on_query_defers_folding(self, paper_dag):
-        hybrid = HybridTCIndex.build(paper_dag, max_delta=1, max_ratio=100.0,
-                                     auto_compact_on_query=True)
-        hybrid.add_arc("g", "d")
-        hybrid.add_node("new", parents=["d"])
-        assert hybrid.compactions == 0  # mutations never fold
-        assert hybrid.reachable("g", "new")  # first query does
-        assert hybrid.compactions == 1
-        assert hybrid.delta_size == 0
-
     def test_out_of_band_index_mutation_taints(self, paper_dag):
         hybrid = HybridTCIndex.build(paper_dag, max_delta=1000,
                                      max_ratio=1000.0)
@@ -334,6 +322,36 @@ class TestPersistence:
         restored = hybrid_from_dict(hybrid_to_dict(hybrid))
         assert restored.tainted
         assert_matches_index(restored)
+
+    def test_document_with_retired_settings_still_loads(self):
+        """Documents and checkpoints written while the overlay still took
+        ``delete_cost`` and ``auto_compact_on_query`` carry both keys."""
+        document = {
+            "format_version": 1, "kind": "hybrid-tc-index",
+            "index": {
+                "format_version": 1, "policy": "alg1", "gap": 32,
+                "merged": False, "numbering": "integer",
+                "graph": {"nodes": ["a", "b", "c"],
+                          "arcs": [["a", "b"], ["b", "c"]]},
+                "parent": [["b", "a"], ["a", None], ["c", "b"]],
+                "postorder": [["b", 32], ["a", 64], ["c", 16]],
+                "tree_interval": [["b", [1, 32]], ["a", [1, 64]],
+                                  ["c", [1, 16]]],
+                "intervals": [["b", [[1, 32]]], ["a", [[1, 64]]],
+                              ["c", [[1, 16]]]]},
+            "base": {"format_version": 1, "kind": "frozen-tc-index",
+                     "epoch": 0, "nodes": ["b", "a"], "numbers": [32, 64],
+                     "offsets": [0, 1, 2], "lows": [0, 0], "highs": [0, 1]},
+            "delta": {"arcs": [["b", "c"]], "nodes": ["c"], "cost": 2,
+                      "tainted": False},
+            "settings": {"max_delta": 100, "max_ratio": 100.0,
+                         "delete_cost": 8, "auto_compact_on_query": False},
+        }
+        restored = hybrid_from_dict(document)
+        assert restored.delta_arcs == (("b", "c"),)
+        assert restored.reachable("a", "c")
+        assert_matches_index(restored)
+        assert "delete_cost" not in hybrid_to_dict(restored)["settings"]
 
     def test_wrong_kind_rejected(self, paper_dag):
         from repro.core.serialize import index_from_dict, index_to_dict

@@ -116,12 +116,3 @@ def test_compact_is_a_query_level_noop(graph, script):
         assert hybrid.count_successors(node) == before[node][2]
     if was_tainted:
         assert_matches_rebuild(hybrid)
-
-
-@settings(max_examples=40, deadline=None)
-@given(small_dags(), ops)
-def test_auto_compact_on_query_stays_exact(graph, script):
-    hybrid = HybridTCIndex.build(graph, max_delta=2, max_ratio=1000.0,
-                                 auto_compact_on_query=True)
-    apply_script(hybrid, script)
-    assert_matches_rebuild(hybrid)

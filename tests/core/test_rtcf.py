@@ -102,6 +102,18 @@ class TestRoundTrip:
         with pytest.raises(ReproError, match="fractional"):
             rtcf_bytes(index.freeze())
 
+    def test_numbers_past_int64_are_rejected(self, tmp_path):
+        """A gap of 2**62 numbers a 3-node graph past int64: a typed
+        error from both writers, and no file left behind."""
+        frozen = open_index(DiGraph([("a", "b"), ("b", "c")]),
+                            engine="frozen", gap=2**62)
+        with pytest.raises(ReproError, match="int64"):
+            rtcf_bytes(frozen)
+        target = tmp_path / "big.rtcf"
+        with pytest.raises(ReproError, match="int64"):
+            save_rtcf(frozen, target)
+        assert os.listdir(tmp_path) == []
+
     def test_unknown_format_name_rejected(self, tmp_path):
         frozen = IntervalTCIndex.build(small_graph()).freeze()
         with pytest.raises(ReproError, match="unknown frozen format"):

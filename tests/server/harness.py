@@ -9,11 +9,21 @@ beyond 127.0.0.1.
 from __future__ import annotations
 
 import asyncio
+import os
+import subprocess
+import sys
+import time
 from contextlib import asynccontextmanager
+from pathlib import Path
+
+import pytest
 
 from repro.server.app import ReachabilityServer
 from repro.server.client import ReachabilityClient
 from repro.server.protocol import read_frame
+
+
+REPO = Path(__file__).resolve().parents[2]
 
 
 def run(coro):
@@ -62,3 +72,35 @@ async def http_exchange(host, port, request: bytes, *,
             await writer.wait_closed()
         except (ConnectionResetError, BrokenPipeError, OSError):
             pass
+
+
+def spawn_serve(*args: str) -> subprocess.Popen:
+    """``repro serve ARGS --port 0`` in a subprocess, stdout piped."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(REPO / "src") + os.pathsep + \
+        env.get("PYTHONPATH", "")
+    env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "serve", *args, "--port", "0"],
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+        env=env)
+
+
+def await_serving_line(proc, *, timeout: float = 60.0):
+    """Read stdout lines until the 'serving on' banner (or fail)."""
+    deadline = time.monotonic() + timeout
+    lines = []
+    while time.monotonic() < deadline:
+        if proc.poll() is not None:
+            rest = proc.stdout.read() or ""
+            pytest.fail("server exited before serving: "
+                        + "".join(lines) + rest)
+        line = proc.stdout.readline()
+        if not line:
+            continue
+        lines.append(line)
+        if "serving on" in line:
+            return lines
+    proc.kill()
+    pytest.fail("server never printed the serving banner: "
+                + "".join(lines))

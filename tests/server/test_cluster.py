@@ -18,9 +18,14 @@ import time
 import pytest
 
 from repro.core.hybrid import HybridTCIndex
+from repro.errors import ReproError
 from repro.graph.generators import random_dag
+from repro.server import cluster as cluster_module
 from repro.server.client import ReachabilityClient, ServerError
+from repro.server.cluster import ClusterServer, WorkerState
+from repro.server.generations import GenerationStore
 from repro.server.inprocess import ClusterThread
+from repro.server.protocol import ProtocolError
 from repro.testing.oracle import SetClosureOracle
 
 from .harness import http_exchange
@@ -32,10 +37,8 @@ def _factory():
     return HybridTCIndex.from_arcs(ARCS)
 
 
-def _cluster(**kwargs):
-    kwargs.setdefault("workers", 2)
-    kwargs.setdefault("poll_interval", 0.005)
-    return ClusterThread(_factory, **kwargs)
+def _cluster():
+    return ClusterThread(_factory, workers=2)
 
 
 def _http_json(thread, path):
@@ -116,7 +119,7 @@ def test_read_your_writes_on_one_connection():
 
 def test_writes_are_refused_when_serving_a_frozen_snapshot():
     with ClusterThread(lambda: HybridTCIndex.from_arcs(ARCS).snapshot(),
-                       workers=2, poll_interval=0.005) as thread:
+                       workers=2) as thread:
         assert thread.call("check", u="a", v="c") is True
         with pytest.raises(ServerError) as excinfo:
             thread.call("add-arc", u="c", v="d")
@@ -148,7 +151,9 @@ def test_every_raced_answer_matches_oracle_at_its_epoch():
     """Readers race a writer through the live cluster; every answer
     must match the oracle *at the epoch the worker says it served*.
     Workers re-attach to generations mid-race, so a stale-but-consistent
-    answer is legal and a torn or unattributable one is not."""
+    answer is legal and a torn or unattributable one is not.  Readers
+    keep reading until the writer is done, so a reader on the worker
+    that does not forward the writes still spans several polls."""
     graph = random_dag(16, 1.6, 7)
     oracle = SetClosureOracle(arcs=graph.arcs(), nodes=graph.nodes())
     base_nodes = sorted(oracle.nodes(), key=repr)
@@ -159,10 +164,9 @@ def test_every_raced_answer_matches_oracle_at_its_epoch():
         return HybridTCIndex.build(graph, max_delta=1_000_000,
                                    max_ratio=1_000_000.0)
 
-    with ClusterThread(cluster_factory, workers=2,
-                       poll_interval=0.002) as thread:
+    with ClusterThread(cluster_factory, workers=2) as thread:
 
-        async def writer() -> None:
+        async def writer(done: asyncio.Event) -> None:
             import random
             rng = random.Random(99)
             client = await ReachabilityClient.connect(thread.host,
@@ -185,15 +189,18 @@ def test_every_raced_answer_matches_oracle_at_its_epoch():
                         timeline.apply(epoch, "remove_arc", node, target)
                     await asyncio.sleep(0.001)
             finally:
+                done.set()
                 await client.close()
 
-        async def reader(seed: int) -> None:
+        async def reader(seed: int, done: asyncio.Event) -> None:
             import random
             rng = random.Random(seed)
             client = await ReachabilityClient.connect(thread.host,
                                                       thread.port)
             try:
-                for _ in range(100):
+                checks = 0
+                while checks < 100 or not done.is_set():
+                    checks += 1
                     source = rng.choice(base_nodes)
                     destination = rng.choice(base_nodes)
                     response = await client.request("check", u=source,
@@ -208,8 +215,10 @@ def test_every_raced_answer_matches_oracle_at_its_epoch():
                 await client.close()
 
         async def race() -> None:
+            done = asyncio.Event()
             await asyncio.wait_for(
-                asyncio.gather(writer(), reader(1000), reader(1001)), 120.0)
+                asyncio.gather(writer(done), reader(1000, done),
+                               reader(1001, done)), 120.0)
 
         thread.run_coro(race())
 
@@ -327,3 +336,60 @@ def test_parent_metrics_merge_all_workers():
         assert "# TYPE tc_server_requests_total counter" in text
         for tag in ('worker_id="0"', 'worker_id="1"', 'worker_id="writer"'):
             assert tag in text, f"missing {tag} in merged metrics"
+
+
+# ----------------------------------------------------------------------
+# the three timeouts, each against the hang it guards
+# ----------------------------------------------------------------------
+
+def test_await_epoch_gives_up_on_an_ack_that_never_appears(tmp_path,
+                                                          monkeypatch):
+    """A worker told "acked at epoch 5" by a writer whose generation
+    never lands must answer ``server-error``, not spin forever."""
+    monkeypatch.setattr(cluster_module, "DEFAULT_ACK_TIMEOUT", 0.05)
+    store = GenerationStore(tmp_path)
+    store.publish(HybridTCIndex.from_arcs(ARCS).snapshot(), 0)
+    state = WorkerState(store, writer_path=str(tmp_path / "writer.sock"))
+
+    async def scenario():
+        with pytest.raises(ProtocolError) as excinfo:
+            await state._await_epoch(5)
+        return excinfo.value
+
+    error = asyncio.run(scenario())
+    assert error.code == "server-error"
+    assert "epoch 5" in str(error)
+
+
+def _never_ready(config, ready):
+    time.sleep(60)
+
+
+def _deaf_to_sigterm(config, ready):
+    signal.signal(signal.SIGTERM, signal.SIG_IGN)
+    ready.set()
+    time.sleep(60)
+
+
+def test_spawn_gives_up_on_a_worker_that_never_signals_ready(monkeypatch):
+    monkeypatch.setattr(cluster_module, "DEFAULT_READY_TIMEOUT", 0.2)
+    monkeypatch.setattr(cluster_module, "_worker_main", _never_ready)
+    server = ClusterServer(_factory(), workers=1)
+    try:
+        with pytest.raises(ReproError, match="failed to become ready"):
+            server.start()
+    finally:
+        asyncio.run(server.stop_parent())
+
+
+def test_stop_kills_a_worker_that_ignores_sigterm(monkeypatch):
+    monkeypatch.setattr(cluster_module, "DEFAULT_JOIN_TIMEOUT", 0.2)
+    monkeypatch.setattr(cluster_module, "_worker_main", _deaf_to_sigterm)
+    server = ClusterServer(_factory(), workers=1)
+    server.start()
+    process = server._workers[0].process
+    started = time.monotonic()
+    asyncio.run(server.stop_parent())
+    assert not process.is_alive()
+    assert process.exitcode == -signal.SIGKILL
+    assert time.monotonic() - started < 10.0

@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import asyncio
 import json
+import socket
 
 import pytest
 
 from repro.core.hybrid import HybridTCIndex
 from repro.obs.metrics import MetricsRegistry
-from repro.server.app import ReachabilityServer
+from repro.server import app
+from repro.server.app import SHED_RETRY_AFTER_MS
 from repro.server.client import ReachabilityClient, ServerError
 from repro.server.protocol import (OverloadedError, encode_frame,
                                    read_frame)
@@ -35,10 +37,10 @@ class TestAdmissionControl:
     def test_burst_beyond_budget_is_shed_with_retry_hint(self):
         """Six checks arrive in one chunk against a budget of one: the
         first is admitted, the rest draw ``overloaded`` immediately —
-        before any engine work — each carrying the configured hint."""
+        before any engine work — each carrying the server's hint."""
         async def scenario():
-            async with serving(_engine(), max_inflight=1,
-                               shed_retry_after_ms=33) as (_, host, port):
+            async with serving(_engine(),
+                               max_inflight=1) as (_, host, port):
                 reader, writer = await asyncio.open_connection(host, port)
                 frames = [encode_frame({"id": index, "op": "check",
                                         "u": "a", "v": "c"})
@@ -54,7 +56,7 @@ class TestAdmissionControl:
                 for index in range(1, 6):
                     error = by_id[index]["error"]
                     assert error["code"] == "overloaded"
-                    assert error["retry_after_ms"] == 33
+                    assert error["retry_after_ms"] == SHED_RETRY_AFTER_MS
         run(scenario())
 
     def test_budget_frees_after_completion(self):
@@ -73,8 +75,8 @@ class TestAdmissionControl:
 
     def test_healthz_reports_the_overload_section(self):
         async def scenario():
-            async with serving(_engine(), max_inflight=3,
-                               shed_retry_after_ms=20) as (_, host, port):
+            async with serving(_engine(),
+                               max_inflight=3) as (_, host, port):
                 reader, writer = await asyncio.open_connection(host, port)
                 frames = [encode_frame({"id": index, "op": "check",
                                         "u": "a", "v": "b"})
@@ -232,43 +234,54 @@ class TestDeadlines:
         run(scenario())
 
 
-class _HungWriter:
-    """A writer whose drain never completes — a reader that stopped."""
-
-    class _Transport:
-        def __init__(self):
-            self.aborted = False
-
-        def abort(self):
-            self.aborted = True
-
-    def __init__(self):
-        self.transport = self._Transport()
-
-    async def drain(self):
-        await asyncio.sleep(3600)
-
-
 class TestSlowClients:
-    def test_guarded_drain_aborts_past_grace(self):
+    def test_guarded_drain_aborts_past_grace(self, monkeypatch):
+        """A reader that stops consuming: once the server's send buffer
+        passes the transport's 64 KiB high-water mark, the drain gets
+        the grace period and then the connection is aborted."""
+        monkeypatch.setattr(app, "WRITE_GRACE", 0.2)
+        hub = [f"n{index}" for index in range(2_000)]
+        engine = HybridTCIndex.from_arcs([("root", node) for node in hub])
+
         async def scenario():
-            server = ReachabilityServer(_engine(), write_high_water=1024,
-                                        write_grace=0.05)
-            writer = _HungWriter()
-            assert await server._guarded_drain(writer) is False
-            assert writer.transport.aborted
-            assert server._slow_aborts.value == 1
+            async with serving(engine) as (server, host, port):
+                # A small receive buffer, set before connecting, keeps
+                # the kernel from absorbing what the reader never reads.
+                sock = socket.socket()
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+                sock.setblocking(False)
+                await asyncio.get_running_loop().sock_connect(
+                    sock, (host, port))
+                reader, writer = await asyncio.open_connection(sock=sock)
+                # Each answer lists ~2k successors (~16 KiB); 600 of them
+                # outgrow the kernel socket buffers and the 64 KiB mark.
+                frame = encode_frame({"op": "expand", "u": "root"})
+                writer.write(frame * 600)
+                await writer.drain()
+                loop = asyncio.get_running_loop()
+                deadline = loop.time() + 10.0
+                try:
+                    while (server._slow_aborts.value == 0
+                           and loop.time() < deadline):
+                        await asyncio.sleep(0.05)
+                finally:
+                    writer.transport.abort()
+                assert server._slow_aborts.value == 1
+                scrape = await http_exchange(
+                    host, port, b"GET /metrics HTTP/1.1\r\n\r\n")
+                assert b"tc_server_slow_client_aborts_total 1" in scrape
         run(scenario())
 
-    def test_guarded_drain_is_plain_when_disabled(self):
+    def test_guarded_drain_is_plain_below_high_water(self):
+        """A reading client never arms the grace timer: every response
+        arrives and nothing is aborted."""
         async def scenario():
-            server = ReachabilityServer(_engine())  # write_high_water=0
-            class _Fine:
-                transport = None
-
-                async def drain(self):
-                    return None
-
-            assert await server._guarded_drain(_Fine()) is True
-            assert server._slow_aborts.value == 0
+            async with serving(_engine()) as (server, host, port):
+                client = await ReachabilityClient.connect(host, port)
+                try:
+                    for _ in range(50):
+                        assert await client.check("a", "c") is True
+                finally:
+                    await client.close()
+                assert server._slow_aborts.value == 0
         run(scenario())

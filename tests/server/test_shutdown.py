@@ -12,22 +12,20 @@ from __future__ import annotations
 import asyncio
 import os
 import signal
-import subprocess
-import sys
+import socket
 import time
-from pathlib import Path
 
 import pytest
 
 from repro.core.hybrid import HybridTCIndex
+from repro.server import app
 from repro.server.app import ReachabilityServer
 from repro.server.client import ReachabilityClient
 from repro.server.inprocess import ServerThread
 from repro.server.protocol import encode_frame
 
-from .harness import next_response, run, serving
-
-REPO = Path(__file__).resolve().parents[2]
+from .harness import (await_serving_line, next_response, run, serving,
+                      spawn_serve)
 
 
 def _engine():
@@ -38,9 +36,11 @@ def _engine():
 # in-process drain semantics
 # ----------------------------------------------------------------------
 
-def test_stop_closes_idle_connections_without_waiting_for_grace():
+def test_stop_closes_idle_connections_without_waiting_for_grace(monkeypatch):
+    monkeypatch.setattr(app, "DRAIN_GRACE", 30.0)
+
     async def scenario():
-        server = ReachabilityServer(_engine(), drain_grace=30.0)
+        server = ReachabilityServer(_engine())
         host, port = await server.start("127.0.0.1", 0)
         client = await ReachabilityClient.connect(host, port)
         assert await client.check("a", "c") is True
@@ -112,42 +112,14 @@ def _spawn_serve(tmp_path, *extra):
     edges = tmp_path / "edges.txt"
     if not edges.exists():
         edges.write_text("a b\nb c\n")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(REPO / "src") + os.pathsep + \
-        env.get("PYTHONPATH", "")
-    env["PYTHONUNBUFFERED"] = "1"
-    return subprocess.Popen(
-        [sys.executable, "-m", "repro.cli", "serve", str(edges),
-         "--engine", "hybrid", "--port", "0", *extra],
-        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
-        env=env)
-
-
-def _await_serving_line(proc, *, timeout: float = 60.0):
-    """Read stdout lines until the 'serving on' banner (or fail)."""
-    deadline = time.monotonic() + timeout
-    lines = []
-    while time.monotonic() < deadline:
-        if proc.poll() is not None:
-            rest = proc.stdout.read() or ""
-            pytest.fail("server exited before serving: "
-                        + "".join(lines) + rest)
-        line = proc.stdout.readline()
-        if not line:
-            continue
-        lines.append(line)
-        if "serving on" in line:
-            return lines
-    proc.kill()
-    pytest.fail("server never printed the serving banner: "
-                + "".join(lines))
+    return spawn_serve(str(edges), "--engine", "hybrid", *extra)
 
 
 @pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGINT])
 def test_single_process_serve_exits_cleanly_on_signal(tmp_path, signum):
     proc = _spawn_serve(tmp_path)
     try:
-        _await_serving_line(proc)
+        await_serving_line(proc)
         proc.send_signal(signum)
         out, _ = proc.communicate(timeout=60)
     finally:
@@ -160,10 +132,16 @@ def test_single_process_serve_exits_cleanly_on_signal(tmp_path, signum):
 
 def test_cluster_serve_exits_cleanly_on_sigterm_and_reaps_workers(tmp_path):
     snap = tmp_path / "snap"
+    with socket.socket() as probe:  # a free port for --metrics-port
+        probe.bind(("127.0.0.1", 0))
+        admin_port = probe.getsockname()[1]
     proc = _spawn_serve(tmp_path, "--workers", "2",
-                        "--snapshot-dir", str(snap))
+                        "--snapshot-dir", str(snap),
+                        "--metrics-port", str(admin_port))
     try:
-        _await_serving_line(proc)
+        await_serving_line(proc)
+        admin_line = proc.stdout.readline()
+        assert f"cluster admin on 127.0.0.1:{admin_port} " in admin_line
         # Give the workers a beat to finish coming up, then terminate.
         time.sleep(0.3)
         proc.send_signal(signal.SIGTERM)

@@ -1,11 +1,14 @@
 """End-to-end tests for the repro-tc command line interface."""
 
+import argparse
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 
 EDGES = """\
 a b
@@ -256,3 +259,24 @@ class TestBench:
     def test_bench_merging(self, capsys):
         assert main(["bench", "merging"]) == 0
         assert "saving_percent" in capsys.readouterr().out
+
+
+#: Every ``repro serve`` option, in parser order.  docs/server.md has one
+#: table row per option naming the test or bench cell that needs it; a
+#: new option extends this list and that table in the same change.
+SERVE_OPTIONS = ["--engine", "--durable", "--host", "--port",
+                 "--no-coalesce", "--trace", "--workers", "--snapshot-dir",
+                 "--metrics-port", "--max-inflight", "--max-pending-writes"]
+
+
+def test_serve_options_match_the_documented_table():
+    commands = next(action for action in build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    parsed = [option for action in commands.choices["serve"]._actions
+              for option in action.option_strings
+              if option.startswith("--") and option != "--help"]
+    assert parsed == SERVE_OPTIONS
+    docs = Path(__file__).resolve().parents[1] / "docs" / "server.md"
+    documented = re.findall(r"^\| `(--[a-z-]+)` \|", docs.read_text(),
+                            re.MULTILINE)
+    assert documented == SERVE_OPTIONS
