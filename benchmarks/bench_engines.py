@@ -20,7 +20,11 @@ shape              why it is in the matrix
 
 Each cell builds the engine once and times a seeded mixed query load
 (point ``reachable`` pairs + ``successors`` sweeps), emitting
-``BENCH_engines.json``.  ``storage_units`` is one unit in every engine,
+``BENCH_engines.json``.  ``total_seconds`` (build + points + successor
+sweeps) is the race the ``auto`` rule is judged by.  Beside it, each
+cell times ``predecessors`` over the same sweep nodes
+(``predecessor_sweep_seconds``; ``first_predecessor_seconds`` is the
+first call alone, which pays any lazily built reverse structure).  ``storage_units`` is one unit in every engine,
 the paper's Section 3.3 accounting: two stored numbers per interval or
 chain entry.  The frozen engine's buffer footprint rides along as
 ``nbytes``.  The pytest wrapper checks the *committed* file still backs
@@ -94,6 +98,14 @@ def run_cell(name: str, graph: DiGraph, pairs, sweeps) -> dict:
     sweep_sizes = [len(engine.successors(node)) for node in sweeps]
     sweep_seconds = time.perf_counter() - started
 
+    # Reverse sweeps over the same nodes.  The first call pays any
+    # one-time reverse structure (the chain engine's position lists).
+    marks = [time.perf_counter()]
+    predecessor_sizes = []
+    for node in sweeps:
+        predecessor_sizes.append(len(engine.predecessors(node)))
+        marks.append(time.perf_counter())
+
     storage = engine.stats()
     payload = storage.as_dict() if hasattr(storage, "as_dict") else storage
     # Frozen reports no storage_units: count its coalesced runs the way
@@ -105,10 +117,14 @@ def run_cell(name: str, graph: DiGraph, pairs, sweeps) -> dict:
         "build_seconds": round(build_seconds, 6),
         "point_query_seconds": round(point_seconds, 6),
         "successor_sweep_seconds": round(sweep_seconds, 6),
+        "predecessor_sweep_seconds": round(marks[-1] - marks[0], 6),
+        "first_predecessor_seconds": round(
+            marks[1] - marks[0] if sweeps else 0.0, 6),
         "total_seconds": round(
             build_seconds + point_seconds + sweep_seconds, 6),
         "reachable_fraction": round(sum(answers) / max(len(answers), 1), 4),
         "sweep_result_rows": sum(sweep_sizes),
+        "predecessor_rows": sum(predecessor_sizes),
         "storage_units": storage_units,
         "nbytes": payload.get("nbytes"),
     }
@@ -122,9 +138,11 @@ def run_shape(shape: str, make_graph, *, pairs: int, sweeps: int) -> dict:
     cells = [run_cell(name, graph, pair_load, sweep_load)
              for name in ENGINE_BUILDERS]
     # Cross-engine parity on the sampled load: every cell must agree on
-    # how many pairs were reachable and how many sweep rows came back.
+    # how many pairs were reachable and how many successor and
+    # predecessor rows came back.
     fractions = {cell["reachable_fraction"] for cell in cells}
-    rows = {cell["sweep_result_rows"] for cell in cells}
+    rows = {(cell["sweep_result_rows"], cell["predecessor_rows"])
+            for cell in cells}
     if len(fractions) != 1 or len(rows) != 1:
         raise AssertionError(
             f"engines diverged on shape {shape!r}: {cells}")
@@ -164,7 +182,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--pairs", type=int, default=2000,
                         help="random reachable() pairs per cell")
     parser.add_argument("--sweeps", type=int, default=200,
-                        help="successors() sweeps per cell")
+                        help="successors() and predecessors() sweeps "
+                             "per cell")
     parser.add_argument("--smoke", action="store_true",
                         help="reduced scale for CI (overrides --scale)")
     parser.add_argument("--output", default=str(DEFAULT_OUTPUT))

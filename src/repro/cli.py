@@ -587,6 +587,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.obs import MetricsRegistry, QueryTracer
     from repro.server.app import ReachabilityServer
 
+    if args.trace and args.workers > 0:
+        # Cluster workers are forked without a tracer, so the spans of
+        # served requests would be recorded nowhere.
+        raise ReproError("--trace records nothing with --workers: "
+                         "cluster workers do not trace; serve with "
+                         "--workers 0 to record span trees")
+
     async def _run(engine) -> None:
         tracer = QueryTracer(capacity=SERVE_TRACE_LAST) if args.trace \
             else None
@@ -900,7 +907,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "reachable_many call")
     serve.add_argument("--trace", action="store_true",
                        help="record span trees of served requests in "
-                            "the server's tracer (the newest 64)")
+                            "the server's tracer (the newest 64); "
+                            "single-process only")
     serve.add_argument("--workers", type=int, default=0,
                        help="preforked read-worker count; 0 (default) "
                             "serves single-process, N>=1 runs a cluster "

@@ -16,6 +16,12 @@ dict probe — O(1) — and decoding a successor set costs O(answer)
 because the per-chain suffixes are disjoint (chains partition the
 nodes).
 
+Reverse queries read the labels' inverse, per-chain position lists: for
+each chain, every node holding an entry on it, sorted by that entry's
+position, plus per-position cut offsets.  The nodes reaching ``(c, s)``
+are then the prefix of chain ``c``'s list up to ``s``'s cut — O(answer).
+The table is built on the first reverse query, not by :meth:`build`.
+
 Two decompositions are provided:
 
 * ``"greedy"`` — walk the topological order, appending each node to some
@@ -35,6 +41,7 @@ property tests check that inequality empirically.
 from __future__ import annotations
 
 from collections import deque
+from itertools import chain as chained
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.core.engine import EngineBase, EngineCapabilities
@@ -166,8 +173,9 @@ class ChainCoverIndex(EngineBase):
     ``reach[u]`` maps a chain id to the smallest position on that chain
     reachable from ``u`` (reflexively: ``u`` reaches its own position).
     Point queries are one dict probe; successor sets decode as disjoint
-    chain suffixes; predecessor-flavoured queries scan all nodes, one
-    probe each (the labels are successor-directed, like the paper's).
+    chain suffixes; predecessor sets are prefixes of the per-chain
+    position lists (:class:`_ReverseTable`), built on the first reverse
+    query — O(answer) each after that.
     """
 
     def __init__(self, chains: List[List[Node]],
@@ -177,6 +185,7 @@ class ChainCoverIndex(EngineBase):
         self._position_of = position_of
         self._reach = reach
         self.method = method
+        self._reverse: Optional[_ReverseTable] = None
 
     @classmethod
     def build(cls, graph: DiGraph, method: str = "greedy") -> "ChainCoverIndex":
@@ -272,19 +281,31 @@ class ChainCoverIndex(EngineBase):
 
     @instrumented("predecessors")
     def predecessors(self, destination: Node, *, reflexive: bool = True) -> Set[Node]:
-        """Every node that can reach ``destination``.
+        """Every node that can reach ``destination`` — O(answer).
 
-        The labels are successor-directed (like the paper's intervals),
-        so this scans all nodes — O(n) dict probes.
+        One prefix of the destination chain's position list (the first
+        reverse query builds the lists, O(entries)).
         """
-        if destination not in self._reach:
-            raise NodeNotFoundError(destination)
-        chain_id, sequence = self._position_of[destination]
-        result = {node for node, entries in self._reach.items()
-                  if entries.get(chain_id, len(self.chains[chain_id])) <= sequence}
+        try:
+            chain_id, sequence = self._position_of[destination]
+        except KeyError:
+            raise NodeNotFoundError(destination) from None
+        result = set(self._reverse_table().reaching(chain_id, sequence))
         if not reflexive:
             result.discard(destination)
         return result
+
+    def _reverse_table(self) -> "_ReverseTable":
+        """The per-chain position lists, built on first use.
+
+        Published by one attribute assignment, so two racing first calls
+        at worst both build it.
+        """
+        table = self._reverse
+        if table is None:
+            table = _ReverseTable(self.chains, self._reach)
+            self._reverse = table
+        return table
 
     @instrumented("count_successors")
     def count_successors(self, source: Node, *, reflexive: bool = True) -> int:
@@ -308,18 +329,16 @@ class ChainCoverIndex(EngineBase):
 
         Per chain, only the *largest* destination position matters (a
         node reaching any earlier position reaches the later one too), so
-        the scan pays one probe per target chain per node.
+        the answer is a union of one position-list prefix per target
+        chain — O(answer).
         """
         targets = self._target_positions(destinations)
         if not targets:
             return set()
+        table = self._reverse_table()
         result: Set[Node] = set()
-        for node, entries in self._reach.items():
-            for chain_id, sequence in targets.items():
-                earliest = entries.get(chain_id)
-                if earliest is not None and earliest <= sequence:
-                    result.add(node)
-                    break
+        for chain_id, sequence in targets.items():
+            result.update(table.reaching(chain_id, sequence))
         return result
 
     @instrumented("any_reachable")
@@ -423,3 +442,59 @@ class ChainCoverIndex(EngineBase):
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"ChainCoverIndex(method={self.method!r}, chains={self.num_chains}, "
                 f"entries={self.num_entries})")
+
+
+class _ReverseTable:
+    """Per-chain position lists: the inverse of the chain labels.
+
+    Nodes get dense *slots* in chain-major order (chain ``c`` starts at
+    slot ``starts[c]``).  Every label entry ``(c, p)`` of node ``u`` is
+    keyed by the slot of ``(c, p)``; ``holders`` lists the entries'
+    nodes sorted by that key, and ``cut[t]`` counts the entries keyed
+    below slot ``t``.  The holders of chain ``c`` at positions ``<= s``
+    are then ``holders[cut[starts[c]]:cut[starts[c] + s + 1]]`` —
+    exactly the nodes that reach ``(c, s)``.  ``holders`` is a flat
+    object array (one reference per entry), so a query answer is one
+    contiguous slice with no id-to-node lookups.
+
+    A query accelerator, like the frozen engine's reverse index: not
+    counted in :attr:`ChainCoverIndex.num_entries`.
+    """
+
+    __slots__ = ("starts", "holders", "cut")
+
+    def __init__(self, chains: List[List[Node]],
+                 reach: Dict[Node, Dict[int, int]]) -> None:
+        import numpy as np
+        n = sum(map(len, chains))
+        nodes = np.fromiter(chained.from_iterable(chains), dtype=object,
+                            count=n)
+        starts = [0]
+        for members in chains:
+            starts.append(starts[-1] + len(members))
+        self.starts = starts
+        rows = [reach[node] for members in chains for node in members]
+        sizes = np.fromiter(map(len, rows), dtype=np.int64, count=n)
+        total = int(sizes.sum())
+        dtype = np.int32 if n < 2**31 else np.int64
+        # Each entry's key is the slot of the position it reaches.
+        keys = np.asarray(starts[:-1], dtype=dtype)[np.fromiter(
+            chained.from_iterable(rows), dtype=dtype, count=total)]
+        keys += np.fromiter(chained.from_iterable(map(dict.values, rows)),
+                            dtype=dtype, count=total)
+        self.cut = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(keys, minlength=n), out=self.cut[1:])
+        # Sort slot ids, not references, and drop each temporary as soon
+        # as it is used: the transient peak stays ~2x the table's bytes.
+        order = np.argsort(keys)
+        del keys
+        ids = np.repeat(np.arange(n, dtype=dtype), sizes)[order]
+        del order
+        self.holders = nodes[ids]
+
+    def reaching(self, chain_id: int, sequence: int) -> List[Node]:
+        """The nodes whose entry on ``chain_id`` is at most ``sequence``,
+        i.e. that reach that chain position."""
+        slot = self.starts[chain_id]
+        return self.holders[self.cut[slot]:
+                            self.cut[slot + sequence + 1]].tolist()

@@ -31,7 +31,8 @@ import threading
 import time
 from collections import deque
 from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Optional
+from contextvars import ContextVar
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 __all__ = ["Span", "QueryTracer", "format_trace"]
 
@@ -85,9 +86,11 @@ def _jsonable(value: Any) -> Any:
 class QueryTracer:
     """Collects span trees for the most recent ``capacity`` queries.
 
-    Thread-safety: each thread gets its own span stack (spans from
-    concurrent queries never interleave into one tree); the finished
-    ring buffer is shared under a lock.
+    Concurrency: the open-span stack is a context variable holding an
+    immutable tuple, so each thread *and each asyncio task* gets its own
+    (a request suspended at an ``await`` with a span open never adopts
+    another task's spans); the finished ring buffer is shared under a
+    lock.
     """
 
     def __init__(self, capacity: int = 128) -> None:
@@ -96,40 +99,34 @@ class QueryTracer:
         self.capacity = capacity
         self._traces: deque = deque(maxlen=capacity)
         self._lock = threading.Lock()
-        self._local = threading.local()
+        self._stack: ContextVar[Tuple[Span, ...]] = ContextVar(
+            "repro_tracer_stack", default=())
 
     # ------------------------------------------------------------------
     # recording
     # ------------------------------------------------------------------
-    def _stack(self) -> List[Span]:
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = []
-            self._local.stack = stack
-        return stack
-
     @contextmanager
     def span(self, name: str, **annotations: Any) -> Iterator[Span]:
         """Open a span; nested calls attach as children automatically."""
         node = Span(name)
         node.annotations.update(annotations)
-        stack = self._stack()
+        stack = self._stack.get()
         if stack:
             stack[-1].children.append(node)
-        stack.append(node)
+        token = self._stack.set(stack + (node,))
         node.started_ns = time.perf_counter_ns()
         try:
             yield node
         finally:
             node.duration_ns = time.perf_counter_ns() - node.started_ns
-            stack.pop()
+            self._stack.reset(token)
             if not stack:  # a completed root: retain it
                 with self._lock:
                     self._traces.append(node)
 
     def current(self) -> Optional[Span]:
-        """The innermost open span on this thread, if any."""
-        stack = self._stack()
+        """The innermost open span in this thread or task, if any."""
+        stack = self._stack.get()
         return stack[-1] if stack else None
 
     def annotate(self, key: str, value: Any) -> None:

@@ -28,7 +28,8 @@ After each step it:
   the full differential matrix: the live index, a fresh frozen
   compilation, the hybrid mirror, a from-scratch rebuild, and every
   requested baseline engine, all rebuilt from the oracle's private arc
-  set.
+  set; every engine that answers ``predecessors`` has its predecessor
+  sets compared too.
 
 Any discrepancy raises :class:`TraceFailure` carrying the exact trace
 prefix that reproduces it — feed that to
@@ -478,7 +479,8 @@ class FuzzRunner:
                 "hybrid", self.hybrid, oracle, predecessors=True)
         for name, engine in build_engines(oracle, self.rebuild_names).items():
             self.report.differential_checks += compare_engine(
-                name, engine, oracle)
+                name, engine, oracle,
+                predecessors=hasattr(engine, "predecessors"))
         self.report.final_nodes = len(oracle)
         self.report.final_arcs = len(oracle.arcs())
 

@@ -20,6 +20,7 @@ from repro.graph.digraph import DiGraph
 from repro.graph.generators import random_dag
 from repro.graph.metrics import width_by_levels
 from repro.obs import MetricsRegistry, attach
+from repro.testing.oracle import SetClosureOracle
 
 
 def paper_graph() -> DiGraph:
@@ -105,3 +106,93 @@ class TestBaselineAlias:
     def test_historical_name_is_the_engine(self):
         from repro.baselines.chain_cover import ChainTCIndex
         assert ChainTCIndex is ChainCoverIndex
+
+
+class TestReverseQueries:
+    """``predecessors`` / ``reaching_set`` read per-chain position lists
+    built on the first reverse query; they must match the set oracle."""
+
+    @staticmethod
+    def oracle_for(graph: DiGraph) -> SetClosureOracle:
+        return SetClosureOracle(graph.arcs(), nodes=graph.nodes())
+
+    @pytest.mark.parametrize("method", ("greedy", "optimal"))
+    @pytest.mark.parametrize("seed", range(3))
+    def test_predecessors_match_the_oracle_on_every_node(self, method, seed):
+        graph = random_dag(90, 1.5 + seed, seed)
+        oracle = self.oracle_for(graph)
+        index = ChainCoverIndex.build(graph, method=method)
+        for node in graph.nodes():
+            assert index.predecessors(node) == oracle.predecessors(node)
+            assert index.predecessors(node, reflexive=False) == \
+                oracle.predecessors(node) - {node}
+
+    @pytest.mark.parametrize("method", ("greedy", "optimal"))
+    def test_chain_heads_and_tails(self, method):
+        graph = random_dag(120, 2.5, 5)
+        oracle = self.oracle_for(graph)
+        index = ChainCoverIndex.build(graph, method=method)
+        heads = [chain[0] for chain in index.chains]
+        tails = [chain[-1] for chain in index.chains]
+        for node in heads + tails:
+            assert index.predecessors(node) == oracle.predecessors(node)
+        # A head is reached only from outside its chain (plus itself).
+        for chain in index.chains:
+            assert not index.predecessors(chain[0], reflexive=False) & \
+                set(chain)
+        # A tail is reached by its whole chain.
+        for chain in index.chains:
+            assert set(chain) <= index.predecessors(chain[-1])
+
+    @pytest.mark.parametrize("method", ("greedy", "optimal"))
+    def test_reaching_set_matches_the_oracle(self, method):
+        graph = random_dag(100, 2.0, 7)
+        oracle = self.oracle_for(graph)
+        index = ChainCoverIndex.build(graph, method=method)
+        rng = random.Random(7)
+        nodes = sorted(graph.nodes(), key=repr)
+        heads = [chain[0] for chain in index.chains]
+        tails = [chain[-1] for chain in index.chains]
+        groups = [[], heads[:3], tails[:3], heads[:2] + tails[-2:]]
+        groups += [rng.sample(nodes, size) for size in (1, 4, 12, 40)]
+        for group in groups:
+            expected = set().union(*(oracle.predecessors(node)
+                                     for node in group))
+            assert index.reaching_set(group) == expected
+
+    def test_paper_graph(self):
+        index = ChainCoverIndex.build(paper_graph())
+        assert index.predecessors("d") == {"a", "b", "d", "e"}
+        assert index.predecessors("a", reflexive=False) == set()
+        assert index.reaching_set(["f", "e"]) == {"a", "b", "c", "e", "f"}
+
+    def test_unknown_destinations_raise(self):
+        index = ChainCoverIndex.build(paper_graph())
+        with pytest.raises(NodeNotFoundError):
+            index.predecessors("ghost")
+        with pytest.raises(NodeNotFoundError):
+            index.predecessors_many(["a", "ghost"])
+        index.predecessors("a")  # with the table built, too
+        with pytest.raises(NodeNotFoundError):
+            index.predecessors("ghost")
+        with pytest.raises(NodeNotFoundError):
+            index.reaching_set(["a", "ghost"])
+
+    def test_table_is_built_lazily_and_not_counted(self):
+        graph = random_dag(200, 2.0, 3)
+        index = ChainCoverIndex.build(graph)
+        entries, units = index.num_entries, index.storage_units
+        stats = index.stats()
+        assert index._reverse is None
+        index.successors(next(iter(graph.nodes())))
+        assert index._reverse is None
+        index.predecessors(next(iter(graph.nodes())))
+        assert index._reverse is not None
+        assert (index.num_entries, index.storage_units) == (entries, units)
+        assert index.stats() == stats
+
+    def test_empty_graph(self):
+        index = ChainCoverIndex.build(DiGraph())
+        assert index.reaching_set([]) == set()
+        with pytest.raises(NodeNotFoundError):
+            index.predecessors("ghost")

@@ -510,6 +510,48 @@ class TestLabelTable:
             index.freeze())
 
 
+class TestReverseStabAllocation:
+    """One ``predecessors`` call allocates O(window + answer), not
+    O(intervals): the stab's rank must match the int32 reverse arrays'
+    dtype, or ``searchsorted`` casts each whole array to int64."""
+
+    @pytest.fixture(scope="class")
+    def snapshot(self):
+        frozen = open_index(random_dag(5000, 3.0, 1989), engine="frozen",
+                            policy="first_parent")
+        assert frozen.num_intervals >= 200_000
+        assert frozen._rev_lo.dtype.itemsize == 4
+        return frozen
+
+    @staticmethod
+    def assert_small_peak(engine, destinations) -> None:
+        import tracemalloc
+        engine.predecessors(destinations[0])  # lazy label tables
+        budget = engine.num_intervals  # 1 B per interval, 8x below a cast
+        tracemalloc.start()
+        try:
+            for destination in destinations:
+                tracemalloc.reset_peak()
+                engine.predecessors(destination)
+                _, peak = tracemalloc.get_traced_memory()
+                assert peak < budget, (destination, peak, budget)
+        finally:
+            tracemalloc.stop()
+
+    def test_in_memory_frozen(self, snapshot):
+        self.assert_small_peak(snapshot, list(snapshot.nodes())[::500])
+
+    def test_mapped_rtcf(self, snapshot, tmp_path):
+        path = str(tmp_path / "stab.rtcf")
+        save_rtcf(snapshot, path)
+        mapped = load_rtcf(path)
+        try:
+            assert mapped._rev_lo.dtype.itemsize == 4
+            self.assert_small_peak(mapped, list(mapped.nodes())[::500])
+        finally:
+            mapped.close()
+
+
 # ----------------------------------------------------------------------
 # routing through repro.core.queries
 # ----------------------------------------------------------------------

@@ -15,7 +15,8 @@ from repro.durability import DurableTCIndex
 from repro.obs import QueryTracer
 from repro.server.client import ReachabilityClient
 
-from .harness import await_serving_line, connected, run, spawn_serve
+from .harness import (await_serving_line, connected, run, serving,
+                      spawn_serve)
 
 
 def test_durable_serve_keeps_a_write_across_a_restart(tmp_path, capsys):
@@ -100,3 +101,53 @@ def test_trace_records_a_span_tree_for_a_served_check():
     assert root.name == "reachable"
     assert root.annotations["engine"] == "FrozenTCIndex"
     assert "hit" in root.annotations
+
+
+def test_trace_keeps_each_connection_in_its_own_span_tree():
+    """``--trace``: a write holds its ``server.add-node`` span open
+    while it waits for its publish; requests served meanwhile on
+    another connection must still be recorded as their own roots."""
+    tracer = QueryTracer()
+
+    async def scenario() -> None:
+        engine = HybridTCIndex.from_arcs([("a", "b"), ("b", "c")])
+        async with serving(engine, tracer=tracer) as (server, host, port):
+            entered, release = asyncio.Event(), asyncio.Event()
+            submit = server.state.submit
+
+            async def held_submit(*args, **kwargs):
+                entered.set()
+                await release.wait()
+                return await submit(*args, **kwargs)
+
+            server.state.submit = held_submit
+            writer = await ReachabilityClient.connect(host, port)
+            reader = await ReachabilityClient.connect(host, port)
+            try:
+                pending = asyncio.ensure_future(
+                    writer.add_node("d", parents=["c"]))
+                await asyncio.wait_for(entered.wait(), 5)
+                assert await reader.expand("a") == ["a", "b", "c"]
+                assert await reader.expand("b") == ["b", "c"]
+                release.set()
+                assert await pending >= 1
+            finally:
+                await writer.close()
+                await reader.close()
+
+    run(scenario())
+    roots = tracer.traces()
+    assert [root.name for root in roots].count("server.expand") == 2
+    [write] = [root for root in roots if root.name == "server.add-node"]
+    assert not any(child.name == "server.expand" for child in write.children)
+
+
+def test_trace_with_workers_is_a_usage_error(tmp_path, capsys):
+    """``--trace --workers N``: cluster workers record no spans, so the
+    combination is refused before anything is served."""
+    edges = tmp_path / "edges.txt"
+    edges.write_text("a b\nb c\n")
+    assert main(["serve", str(edges), "--trace", "--workers", "2",
+                 "--port", "0"]) == 2
+    _, err = capsys.readouterr()
+    assert "--trace records nothing with --workers" in err
