@@ -133,7 +133,7 @@ def run_cell(name: str, graph: DiGraph, pairs, sweeps) -> dict:
 def run_shape(shape: str, make_graph, *, pairs: int, sweeps: int) -> dict:
     graph = make_graph()
     stats = graph_stats(graph)
-    recommended = recommend_engine(stats)
+    recommended = recommend_engine(stats.num_nodes)
     pair_load, sweep_load = _query_load(graph, pairs, sweeps)
     cells = [run_cell(name, graph, pair_load, sweep_load)
              for name in ENGINE_BUILDERS]

@@ -8,16 +8,16 @@ every build system has: *which modules are affected if X changes?*
 
 Module dependency graphs contain cycles (mutually recursive modules), so
 the example exercises :class:`repro.core.condensation.CondensedIndex` —
-the paper's SCC-collapse extension — and the bidirectional index for
-where-used queries.
+the paper's SCC-collapse extension — and the hybrid engine's reverse
+interval index for where-used queries under updates.
 
 Run:  python examples/software_dependencies.py
 """
 
 import random
 
-from repro.core.bidirectional import BidirectionalTCIndex
 from repro.core.condensation import CondensedIndex
+from repro.core.hybrid import HybridTCIndex
 from repro.graph.digraph import DiGraph
 from repro.graph.scc import strongly_connected_components
 
@@ -76,8 +76,9 @@ for changed in ("lib.db", "lib.log", "svc.orders"):
     print(f"  change {changed:12} -> rebuild {len(impacted):2} modules")
 
 # ----------------------------------------------------------------------
-# 4. For acyclic slices, the bidirectional index answers where-used in
-#    O(answer) instead of scanning all modules.
+# 4. For acyclic slices, the hybrid engine answers where-used in
+#    O(answer) from its frozen base's reverse interval index, and keeps
+#    answering as modules are added (the delta overlay corrects the base).
 # ----------------------------------------------------------------------
 member_of = {}
 for component in strongly_connected_components(graph):
@@ -88,11 +89,15 @@ for source, destination in graph.arcs():
     if member_of[source] is not member_of[destination]:
         acyclic.add_arc(source, destination)
 
-bidirectional = BidirectionalTCIndex.build(acyclic)
-users_of_db = bidirectional.predecessors("lib.db", reflexive=False)
-print(f"\nbidirectional where-used (cycle arcs removed): lib.db is used by "
-      f"{len(users_of_db)} modules "
-      f"({bidirectional.storage_units} units for both directions)")
-bidirectional.verify()
+hybrid = HybridTCIndex.build(acyclic)
+users_of_db = hybrid.predecessors("lib.db", reflexive=False)
+print(f"\nwhere-used (cycle arcs removed): lib.db is used by "
+      f"{len(users_of_db)} modules")
+hybrid.add_node("app.new")
+hybrid.add_arc("app.new", "lib.db")
+users_after = hybrid.predecessors("lib.db", reflexive=False)
+assert users_after == users_of_db | {"app.new"}
+print(f"after adding app.new -> lib.db: {len(users_after)} modules")
+hybrid.verify()
 
 print("\nindexes verified against pointer chasing")

@@ -171,8 +171,7 @@ def _cmd_predecessors(args: argparse.Namespace) -> int:
 def _cmd_freeze(args: argparse.Namespace) -> int:
     index = _load_index_or_build(args.index)
     frozen = index.freeze()
-    format = args.format or ("rtcf" if args.output.endswith(".rtcf")
-                             else "json")
+    format = "rtcf" if args.output.endswith(".rtcf") else "json"
     save_frozen_index(frozen, args.output, format=format)
     print(format_table([frozen.stats()], title="frozen index"))
     print(f"frozen buffers written to {args.output} ({format})")
@@ -403,9 +402,9 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     from repro.core.select import graph_stats, recommend_engine
     stats = graph_stats(graph)
     row = stats.as_dict()
-    row["recommended_engine"] = recommend_engine(stats)
+    row["recommended_engine"] = recommend_engine(stats.num_nodes)
     print(format_table(
-        [row], title="graph statistics (what engine='auto' consults)"))
+        [row], title="graph statistics (engine='auto' reads num_nodes)"))
     return 0
 
 
@@ -715,10 +714,8 @@ def build_parser() -> argparse.ArgumentParser:
         "freeze", help="compile an index into frozen flat-array buffers")
     freeze.add_argument("index", help="saved index (.json) or edge-list file")
     freeze.add_argument("-o", "--output", required=True,
-                        help="write the frozen buffers (JSON or RTCF)")
-    freeze.add_argument("--format", choices=("json", "rtcf"), default=None,
-                        help="output format (default: rtcf when the output "
-                             "ends in .rtcf, else json)")
+                        help="write the frozen buffers (RTCF when the path "
+                             "ends in .rtcf, else JSON)")
     freeze.set_defaults(handler=_cmd_freeze)
 
     convert = commands.add_parser(

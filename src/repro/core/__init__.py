@@ -1,6 +1,5 @@
 """The paper's contribution: interval-compressed transitive closure."""
 
-from repro.core.bidirectional import BidirectionalTCIndex
 from repro.core.chain_cover import ChainCoverIndex
 from repro.core.condensation import CondensedIndex
 from repro.core.engine import EngineCapabilities, TCEngine
@@ -37,7 +36,6 @@ from repro.core.tree_cover import (
 )
 
 __all__ = [
-    "BidirectionalTCIndex",
     "ChainCoverIndex",
     "CondensedIndex",
     "DEFAULT_GAP",

@@ -12,7 +12,9 @@ oracles use for speed:
 
 * nodes are interned to dense ids: id ``i`` is the node holding the
   ``i``-th smallest live postorder number, so the dense id *is* the rank
-  of the node's number and no number array is consulted at query time;
+  of the node's number and the snapshot keeps no numbers at all: they
+  exist so that Section 4's inserts find free slots, and a snapshot
+  takes no inserts;
 * every interval end-point is rewritten from postorder-number space to
   rank space at freeze time (a number interval ``[lo, hi]`` becomes the
   rank range of the live numbers it contains), after which per-row
@@ -198,7 +200,7 @@ class FrozenTCIndex(EngineBase):
     forms come from :class:`~repro.core.engine.EngineBase`.
     """
 
-    def __init__(self, *, nodes: Sequence[Node], numbers: Sequence,
+    def __init__(self, *, nodes: Sequence[Node],
                  offsets: Sequence[int], lows: Sequence[int],
                  highs: Sequence[int],
                  source: Optional["IntervalTCIndex"] = None,
@@ -209,9 +211,6 @@ class FrozenTCIndex(EngineBase):
             raise ReproError("interval buffers are inconsistent with offsets")
         #: rank -> node; the dense interning order (ascending postorder number).
         self._nodes: List[Node] = list(nodes)
-        #: rank -> postorder number (ints, or Fractions under fractional
-        #: numbering); queries never touch this, (de)serialisation does.
-        self._numbers: List = list(numbers)
         self._id_of: Dict[Node, int] = {
             node: rank for rank, node in enumerate(self._nodes)}
         if len(self._id_of) != len(self._nodes):
@@ -249,39 +248,34 @@ class FrozenTCIndex(EngineBase):
         if runs is None:
             runs = _rank_runs_python(used, rows)
         offsets, lows, highs = runs
-        return cls(nodes=nodes, numbers=list(used), offsets=offsets,
-                   lows=lows, highs=highs, source=index,
-                   source_epoch=index.epoch)
+        return cls(nodes=nodes, offsets=offsets, lows=lows, highs=highs,
+                   source=index, source_epoch=index.epoch)
 
     @classmethod
-    def from_graph(cls, graph, *, gap: int, policy: str = "alg1",
+    def from_graph(cls, graph, *, policy: str = "alg1",
                    merge_ordering: bool = False,
                    rng=None) -> "FrozenTCIndex":
         """Build straight from ``graph``: the buffers ``from_index`` would
-        compile from ``IntervalTCIndex.build(graph, ...)``, byte for byte,
-        without the mutable index.
+        compile from ``IntervalTCIndex.build(graph, ...)`` at any gap,
+        byte for byte, without the mutable index.
 
         Tree cover, one postorder walk, then the vectorized propagation
         kernel run in rank space and coalesced
-        (:func:`~repro.core.propagation.propagate_rank_runs`).  ``gap``
-        only sets the stored postorder numbers: a snapshot takes no
-        inserts, so the numbering gaps have nothing to reserve.  The
-        result has no source index and never goes stale.
+        (:func:`~repro.core.propagation.propagate_rank_runs`).  A
+        snapshot takes no inserts, so there are no numbering gaps to
+        reserve and no postorder numbers to keep.  The result has no
+        source index and never goes stale.
         """
         from repro.core.index import build_cover
-        from repro.core.labeling import check_gap
         from repro.core.propagation import propagate_rank_runs
         cover = build_cover(graph, policy, merge_ordering=merge_ordering,
                             rng=rng)
-        check_gap(gap)
         nodes, offsets, lows, highs = propagate_rank_runs(_numpy(), graph,
                                                           cover)
-        numbers = list(range(gap, (len(nodes) + 1) * gap, gap))
-        return cls(nodes=nodes, numbers=numbers, offsets=offsets,
-                   lows=lows, highs=highs)
+        return cls(nodes=nodes, offsets=offsets, lows=lows, highs=highs)
 
     @classmethod
-    def from_buffers(cls, *, nodes: Sequence[Node], numbers: Sequence,
+    def from_buffers(cls, *, nodes: Sequence[Node],
                      offsets: Sequence[int], lows: Sequence[int],
                      highs: Sequence[int], epoch: int = 0) -> "FrozenTCIndex":
         """Rehydrate from persisted buffers — no source index, never stale.
@@ -291,8 +285,8 @@ class FrozenTCIndex(EngineBase):
         :attr:`epoch` it was saved with while behaving exactly like a
         :meth:`detach`-ed view (``lag() == 0``, ``is_stale()`` false).
         """
-        return cls(nodes=nodes, numbers=numbers, offsets=offsets, lows=lows,
-                   highs=highs, source_epoch=epoch)
+        return cls(nodes=nodes, offsets=offsets, lows=lows, highs=highs,
+                   source_epoch=epoch)
 
     def _materialize(self, offsets, lows, highs) -> None:
         np = _numpy()
@@ -658,7 +652,6 @@ class FrozenTCIndex(EngineBase):
         """
         return {
             "nodes": list(self._nodes),
-            "numbers": list(self._numbers),
             "offsets": self._off.tolist(),
             "lows": self._lo.tolist(),
             "highs": self._hi.tolist(),

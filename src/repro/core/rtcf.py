@@ -32,10 +32,12 @@ File layout (all little-endian)::
 
 Sections (ids in :data:`SECTION_NAMES`): node labels (an ``int64``
 array when every label is a non-negative int, else a compact JSON blob
-read back through :func:`repro.graph.io.decode_label`), postorder
-numbers, CSR offsets, interval lows/highs, the row-keyed lows, the
-reverse interval index (lo, hi, owner, prefix-max hi), and the optional
-label->rank lookup table.
+read back through :func:`repro.graph.io.decode_label`), CSR offsets,
+interval lows/highs, the row-keyed lows, the reverse interval index
+(lo, hi, owner, prefix-max hi), and the optional label->rank lookup
+table.  Everything is in rank space, so no postorder number is stored:
+section id 2 held them in files written by older releases, and the
+reader ignores it when present.
 
 Integrity comes in two tiers.  Structural validation — magic, version,
 header checksum, every section in bounds and size-consistent — is
@@ -48,10 +50,6 @@ whole file would defeat the zero-copy cold start.
 
 Writes are deterministic — same buffers, same bytes — so
 ``save -> load -> save`` is bit-stable, which the tests assert.
-
-Fractional numbering stores rational postorder numbers; RTCF sections
-are fixed-width integers, so those indexes must keep using the JSON
-format (the writer raises a typed error).
 
 Typical use::
 
@@ -75,7 +73,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.frozen import FrozenTCIndex, _numpy, _rank_keys_fit_int32
 from repro.durability.atomic import RealFS, atomic_write_bytes
-from repro.errors import CorruptFileError, NodeNotFoundError, ReproError
+from repro.errors import CorruptFileError, NodeNotFoundError
 from repro.graph.digraph import Node
 from repro.graph.io import decode_labels
 
@@ -104,6 +102,8 @@ _DTYPE_SIZES = {DTYPE_INT32: 4, DTYPE_INT64: 8}
 _DTYPE_CODES = {DTYPE_INT32: "i", DTYPE_INT64: "q"}
 
 SEC_LABELS = 1
+#: Retired: postorder numbers, written by older releases and ignored on
+#: read.  The id stays reserved so no new section reuses it.
 SEC_NUMBERS = 2
 SEC_OFFSETS = 3
 SEC_LOWS = 4
@@ -130,8 +130,8 @@ SECTION_NAMES = {
 }
 
 #: Sections every RTCF file must carry (LUT is optional).
-_REQUIRED = (SEC_LABELS, SEC_NUMBERS, SEC_OFFSETS, SEC_LOWS, SEC_HIGHS,
-             SEC_LOKEYED, SEC_REVLO, SEC_REVHI, SEC_REVOWNER, SEC_REVMAXHI)
+_REQUIRED = (SEC_LABELS, SEC_OFFSETS, SEC_LOWS, SEC_HIGHS, SEC_LOKEYED,
+             SEC_REVLO, SEC_REVHI, SEC_REVOWNER, SEC_REVMAXHI)
 
 #: Upper bound on the label value the lookup table is worth building
 #: for — must match :meth:`FrozenTCIndex._build_lut` so the reference
@@ -185,20 +185,9 @@ def _engine_sections(frozen: FrozenTCIndex, np):
     which is how a re-save of a mapped file reproduces it byte for byte.
     """
     if isinstance(frozen, MappedFrozenTCIndex):
-        numbers = frozen._numbers_array
         labels = frozen._labels_array
         nodes = frozen._labels_json
     else:
-        numbers = frozen._numbers
-        _check_integer_numbers(numbers)
-        try:
-            numbers = np.asarray(numbers, dtype=np.int64)
-        except OverflowError:
-            raise ReproError(
-                "RTCF stores postorder numbers as int64, and this index "
-                "numbers nodes past that range (a gap too large for its "
-                "size); serialise it with the JSON format instead "
-                "(save_frozen_index(..., format='json'))") from None
         nodes = frozen._nodes
         labels = (np.asarray(nodes, dtype=np.int64)
                   if frozen._lut is not None or _int_labels(nodes) else None)
@@ -209,8 +198,7 @@ def _engine_sections(frozen: FrozenTCIndex, np):
     def width(array):
         return DTYPE_INT32 if array.itemsize == 4 else DTYPE_INT64
 
-    sections = [(SEC_NUMBERS, DTYPE_INT64, raw(numbers)),
-                (SEC_OFFSETS, DTYPE_INT64, raw(frozen._off))]
+    sections = [(SEC_OFFSETS, DTYPE_INT64, raw(frozen._off))]
     for section_id, array in ((SEC_LOWS, frozen._lo), (SEC_HIGHS, frozen._hi),
                               (SEC_LOKEYED, frozen._lo_keyed),
                               (SEC_REVLO, frozen._rev_lo),
@@ -232,7 +220,7 @@ def _engine_sections(frozen: FrozenTCIndex, np):
     return sections, flags
 
 
-def _derive_sections_stdlib(nodes, numbers, offsets, lows, highs):
+def _derive_sections_stdlib(nodes, offsets, lows, highs):
     """Every section payload from plain buffers, in pure Python.
 
     The reference the engine-buffer writer is tested against: it
@@ -259,8 +247,6 @@ def _derive_sections_stdlib(nodes, numbers, offsets, lows, highs):
         rev_maxhi.append(top)
 
     sections = [
-        (SEC_NUMBERS, DTYPE_INT64, _pack_ints(
-            [int(number) for number in numbers], DTYPE_INT64)),
         (SEC_OFFSETS, DTYPE_INT64, _pack_ints(off, DTYPE_INT64)),
         (SEC_LOWS, code, _pack_ints(lo, code)),
         (SEC_HIGHS, code, _pack_ints(hi, code)),
@@ -288,15 +274,6 @@ def _derive_sections_stdlib(nodes, numbers, offsets, lows, highs):
         blob = json.dumps(list(nodes), separators=(",", ":")).encode("utf-8")
         sections.insert(0, (SEC_LABELS, DTYPE_BLOB, blob))
     return sections, flags
-
-
-def _check_integer_numbers(numbers) -> None:
-    for number in numbers:
-        if type(number) is not int and not hasattr(number, "__index__"):
-            raise ReproError(
-                "RTCF stores fixed-width integer postorder numbers; "
-                "serialise fractional-numbered indexes with the JSON "
-                "format instead (save_frozen_index(..., format='json'))")
 
 
 def rtcf_bytes(frozen: FrozenTCIndex) -> bytes:
@@ -414,7 +391,6 @@ def _parse_header(path: PathLike, handle) -> _ParsedHeader:
 
     n, m = num_nodes, num_intervals
     expected = {
-        SEC_NUMBERS: n * 8,
         SEC_OFFSETS: (n + 1) * 8,
         SEC_LOWS: m, SEC_HIGHS: m, SEC_LOKEYED: m,
         SEC_REVLO: m, SEC_REVHI: m, SEC_REVOWNER: m, SEC_REVMAXHI: m,
@@ -422,9 +398,8 @@ def _parse_header(path: PathLike, handle) -> _ParsedHeader:
     for section_id, want in expected.items():
         dtype_code, _, nbytes, _ = sections[section_id]
         unit = _DTYPE_SIZES.get(dtype_code)
-        if unit is None or nbytes != want * (unit if section_id not in
-                                            (SEC_NUMBERS, SEC_OFFSETS)
-                                            else 1):
+        if unit is None or nbytes != want * (unit if section_id
+                                            != SEC_OFFSETS else 1):
             raise CorruptFileError(
                 path, f"section {SECTION_NAMES[section_id]} size "
                       f"inconsistent with header counts")
@@ -554,7 +529,6 @@ class MappedFrozenTCIndex(FrozenTCIndex):
         else:
             self._labels_array = None
             self._labels_json = labels_blob_nodes
-        self._numbers_array = _np_section(np, mm, header, SEC_NUMBERS)
 
     # -- lazy Python-object tables -------------------------------------
     def __getattr__(self, name):
@@ -565,10 +539,6 @@ class MappedFrozenTCIndex(FrozenTCIndex):
                 nodes = list(self._labels_json)
             self._nodes = nodes
             return nodes
-        if name == "_numbers":
-            numbers = self._numbers_array.tolist()
-            self._numbers = numbers
-            return numbers
         if name == "_id_of":
             id_of = {node: rank for rank, node in enumerate(self._nodes)}
             if len(id_of) != self._num_nodes:

@@ -1,11 +1,13 @@
 """Cheap graph statistics and the ``engine="auto"`` decision rule.
 
 :func:`repro.open_index` with ``engine="auto"`` must pick a
-representation *before* building anything, so the statistics here are
-all O(n + m): node/arc counts, average out-degree, longest-path depth,
-and a greedy chain-count estimate of the width (an upper bound on the
-Dilworth width — the exact width needs a matching over the closure,
-which would defeat the point).  Nothing touches the transitive closure.
+representation *before* building anything, and the measured rule needs
+only the node count.  The statistics here are all O(n + m) — node/arc
+counts, average out-degree, longest-path depth, and a greedy
+chain-count estimate of the width (an upper bound on the Dilworth
+width — the exact width needs a matching over the closure, which would
+defeat the point) — and serve ``repro stats`` and the engine bench's
+report columns.  Nothing touches the transitive closure.
 
 The decision rule is calibrated against the measured head-to-head cells
 in ``BENCH_engines.json`` (``benchmarks/bench_engines.py``; build plus
@@ -50,14 +52,8 @@ __all__ = ["GraphStats", "THRESHOLDS", "graph_stats", "recommend_engine"]
 #:     Below this, build cost is noise for every engine (the whole
 #:     matrix builds in under a millisecond at 256 nodes) and the
 #:     updatable interval index is the flexible default.
-#: ``deep_depth_ratio``
-#:     depth/nodes at or above this marks a chain-shaped graph — the
-#:     chain engine's best case (near one chain, one entry per node) —
-#:     kept as a named regime although the measured rule already picks
-#:     chain everywhere at scale.
 THRESHOLDS = {
     "small_nodes": 256,
-    "deep_depth_ratio": 0.5,
 }
 
 
@@ -103,8 +99,9 @@ def graph_stats(graph: DiGraph) -> GraphStats:
     )
 
 
-def recommend_engine(stats: GraphStats) -> str:
-    """The :func:`repro.open_index` engine name ``engine="auto"`` picks.
+def recommend_engine(num_nodes: int) -> str:
+    """The :func:`repro.open_index` engine name ``engine="auto"`` picks
+    for a graph of ``num_nodes`` nodes.
 
     Calibrated on ``BENCH_engines.json`` (see the module docstring's
     cell table): the chain-cover engine wins the build+query race on
@@ -112,6 +109,6 @@ def recommend_engine(stats: GraphStats) -> str:
     small-graph carve-out, where updatability beats a wall-time gap
     measured in microseconds.  Returns ``"interval"`` or ``"chain"``.
     """
-    if stats.num_nodes < THRESHOLDS["small_nodes"]:
+    if num_nodes < THRESHOLDS["small_nodes"]:
         return "interval"
     return "chain"

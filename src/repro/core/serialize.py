@@ -198,7 +198,6 @@ def frozen_to_dict(frozen: FrozenTCIndex) -> dict:
         "kind": FROZEN_KIND,
         "epoch": buffers.get("epoch", 0),
         "nodes": buffers["nodes"],
-        "numbers": [_encode_number(number) for number in buffers["numbers"]],
         "offsets": buffers["offsets"],
         "lows": buffers["lows"],
         "highs": buffers["highs"],
@@ -209,7 +208,8 @@ def frozen_from_dict(document: dict) -> FrozenTCIndex:
     """Rehydrate a frozen engine from :func:`frozen_to_dict` output.
 
     The CSR buffers are adopted as-is (no closure or tree-cover rebuild);
-    only the derived reverse interval index is re-sorted.
+    only the derived reverse interval index is re-sorted.  A ``numbers``
+    field, written by older releases, is ignored.
     """
     if document.get("kind") != FROZEN_KIND:
         raise ReproError(
@@ -220,7 +220,6 @@ def frozen_from_dict(document: dict) -> FrozenTCIndex:
         raise ReproError(f"unsupported frozen document version {version!r}")
     return FrozenTCIndex.from_buffers(
         nodes=decode_labels(document["nodes"]),
-        numbers=[_decode_number(number) for number in document["numbers"]],
         offsets=document["offsets"],
         lows=document["lows"],
         highs=document["highs"],
@@ -233,7 +232,7 @@ def save_frozen_index(frozen: FrozenTCIndex, path: Union[str, Path], *,
     """Write a frozen engine to ``path`` atomically.
 
     ``format="json"`` writes the textual buffer document (portable,
-    human-inspectable, the only choice for fractional numbering);
+    human-inspectable);
     ``format="rtcf"`` writes the binary zero-copy container
     (:mod:`repro.core.rtcf`), which :func:`repro.open_index` reopens
     through ``mmap`` in O(1).

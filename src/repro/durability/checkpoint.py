@@ -127,9 +127,9 @@ def write_checkpoint(directory, engine, wal_seq: int, *,
     CRCs.  The sidecar is a read-side convenience — recovery always
     replays from the JSON + WAL, because only those carry the mutable
     state — but a query fleet can ``open_index`` the sidecar and serve
-    the checkpointed closure straight off shared mapped pages.
-    Fractional-numbered engines skip the sidecar (RTCF is
-    integer-only).
+    the checkpointed closure straight off shared mapped pages.  The
+    snapshot is stored in rank space, so every numbering mode (fractional
+    included) publishes one.
     """
     kind, payload = engine_document(engine)
     document = {
@@ -146,10 +146,9 @@ def write_checkpoint(directory, engine, wal_seq: int, *,
     if frozen_sidecar:
         from repro.core.rtcf import rtcf_bytes
         index = engine.index if kind == "hybrid" else engine
-        if index.numbering != "fractional":
-            atomic_write_bytes(sidecar_path_for(path),
-                               rtcf_bytes(index.freeze()), fs=fs,
-                               label="checkpoint-sidecar")
+        atomic_write_bytes(sidecar_path_for(path),
+                           rtcf_bytes(index.freeze()), fs=fs,
+                           label="checkpoint-sidecar")
     return path
 
 

@@ -18,8 +18,8 @@ store directory  durable (inner engine per the store's config)
 ===============  ==========  ==========  ==========  ==========  ================
 
 [1] For graph and edge-list sources ``engine="auto"`` consults
-:func:`repro.recommend_engine` over :func:`repro.graph_stats` — the
-measured decision rule from ``BENCH_engines.json`` — unless build
+:func:`repro.recommend_engine` on the node count — the measured
+decision rule from ``BENCH_engines.json`` — unless build
 keyword arguments (``policy=``, ``numbering=``, ...) are present, which
 pin the interval family.  Saved documents always follow their own kind.
 
@@ -51,6 +51,7 @@ from typing import Optional
 from repro.core.frozen import FrozenTCIndex
 from repro.core.hybrid import HybridTCIndex
 from repro.core.index import DEFAULT_GAP, IntervalTCIndex
+from repro.core.labeling import check_gap
 from repro.core.propagation import check_propagation
 from repro.errors import ReproError
 from repro.graph.digraph import DiGraph
@@ -85,7 +86,9 @@ def _build_frozen(graph, *, gap, merge=False, **kwargs):
             f"{', '.join(sorted(update_only))} configure inserts, which a "
             "frozen snapshot never takes; build engine='interval' or "
             "'hybrid' to use them")
-    return FrozenTCIndex.from_graph(graph, gap=gap, **kwargs)
+    # A snapshot stores ranks, not numbers, so ``gap`` is only validated.
+    check_gap(gap)
+    return FrozenTCIndex.from_graph(graph, **kwargs)
 
 
 def _build_hybrid(graph, *, gap, **kwargs):
@@ -122,15 +125,15 @@ def _normalise_engine(engine: str) -> str:
 
 
 def _choose_engine(graph, kwargs) -> str:
-    """Resolve ``engine="auto"`` for a graph source via cheap statistics.
+    """Resolve ``engine="auto"`` for a graph source from its node count.
 
     Build keyword arguments (``policy=``, ``numbering=``, ...) only make
     sense for the interval family, so their presence pins it.
     """
     if kwargs:
         return "interval"
-    from repro.core.select import graph_stats, recommend_engine
-    return recommend_engine(graph_stats(graph))
+    from repro.core.select import recommend_engine
+    return recommend_engine(graph.num_nodes)
 
 
 def _build_from_graph(graph, engine: str, *, gap, **kwargs):
@@ -191,7 +194,7 @@ def open_index(source, *, engine: str = "auto",
     ``"frozen"`` (compiled flat arrays), ``"hybrid"`` (frozen base +
     delta overlay) or ``"chain"`` (chain-cover labels).  ``"auto"``
     follows a saved document's kind; for graph and edge-list sources it
-    picks from cheap graph statistics (:func:`repro.recommend_engine`).
+    picks by node count (:func:`repro.recommend_engine`).
     ``durable=True`` forces the crash-safe store (``None`` auto-detects
     a store directory, ``False`` forbids one).  ``metrics`` (a
     :class:`~repro.obs.metrics.MetricsRegistry`) and ``tracer`` (a

@@ -30,8 +30,8 @@ against a zero-copy mmap of the current snapshot generation
 
 ``repro serve --workers N --snapshot-dir DIR`` wires this up from the
 CLI.  Frozen (read-only) engines are served the same way minus the
-write path.  Engines using fractional postorder numbering cannot be
-published as RTCF and draw a clear error at startup.
+write path.  A generation is stored in rank space, so every numbering
+mode (fractional included) publishes one.
 """
 
 from __future__ import annotations

@@ -26,10 +26,11 @@ After each step it:
   are exercised organically; ``compact`` ops fold its delta on demand;
 * every ``check_every`` applied operations (and once at the end), runs
   the full differential matrix: the live index, a fresh frozen
-  compilation, the hybrid mirror, a from-scratch rebuild, and every
-  requested baseline engine, all rebuilt from the oracle's private arc
-  set; every engine that answers ``predecessors`` has its predecessor
-  sets compared too.
+  compilation and its RTCF save/mmap round trip (so fractional and
+  renumbered numberings reach the binary writer), the hybrid mirror, a
+  from-scratch rebuild, and every requested baseline engine, all
+  rebuilt from the oracle's private arc set; every engine that answers
+  ``predecessors`` has its predecessor sets compared too.
 
 Any discrepancy raises :class:`TraceFailure` carrying the exact trace
 prefix that reproduces it — feed that to
@@ -56,6 +57,7 @@ from repro.testing.oracle import (
     ENGINE_FACTORIES,
     DifferentialMismatch,
     SetClosureOracle,
+    _mapped,
     build_engines,
     compare_engine,
 )
@@ -474,6 +476,8 @@ class FuzzRunner:
             fresh = self.index.freeze()
             self.report.differential_checks += compare_engine(
                 "frozen", fresh, oracle, predecessors=True)
+            self.report.differential_checks += compare_engine(
+                "frozen-rtcf", _mapped(fresh), oracle, predecessors=True)
         if self.hybrid is not None:
             self.report.differential_checks += compare_engine(
                 "hybrid", self.hybrid, oracle, predecessors=True)

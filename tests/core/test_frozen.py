@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 from bisect import bisect_left, bisect_right
 
@@ -245,12 +246,26 @@ def test_fractional_round_trip(tmp_path):
         assert loaded.successors(node) == index.successors(node)
 
 
+def test_document_holds_no_numbers_and_old_ones_still_load(tmp_path):
+    """Older releases stored a ``numbers`` field; readers ignore it."""
+    index = IntervalTCIndex.build(DiGraph([("a", "b"), ("b", "c")]), gap=4)
+    document = frozen_to_dict(index.freeze())
+    assert "numbers" not in document
+    document["numbers"] = list(index.used_numbers)
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(document))
+    loaded = open_index(path)
+    for node in index.nodes():
+        assert loaded.successors(node) == index.successors(node)
+        assert loaded.predecessors(node) == index.predecessors(node)
+
+
 def test_inconsistent_buffers_rejected():
     with pytest.raises(ReproError):
-        FrozenTCIndex.from_buffers(nodes=["a", "b"], numbers=[1, 2],
+        FrozenTCIndex.from_buffers(nodes=["a", "b"],
                                    offsets=[0, 1], lows=[0], highs=[0])
     with pytest.raises(ReproError):
-        FrozenTCIndex.from_buffers(nodes=["a"], numbers=[1],
+        FrozenTCIndex.from_buffers(nodes=["a"],
                                    offsets=[0, 2], lows=[0], highs=[0, 0, 0])
 
 
@@ -259,7 +274,7 @@ def test_numpy_buffers_accepted():
     trip a truth-value test on the offsets array."""
     import numpy
     frozen = FrozenTCIndex.from_buffers(
-        nodes=["a", "b", "c"], numbers=[1, 2, 3],
+        nodes=["a", "b", "c"],
         offsets=numpy.array([0, 1, 2, 3]), lows=numpy.array([0, 0, 0]),
         highs=numpy.array([0, 1, 2]))
     assert frozen.successors("c") == {"a", "b", "c"}
@@ -271,7 +286,7 @@ def test_numpy_buffers_accepted():
                for value in buffers[key])
     with pytest.raises(ReproError):
         FrozenTCIndex.from_buffers(
-            nodes=["a"], numbers=[1], offsets=numpy.array([0, 2]),
+            nodes=["a"], offsets=numpy.array([0, 2]),
             lows=numpy.array([0]), highs=numpy.array([0]))
 
 
@@ -285,8 +300,8 @@ def reference_view(index: IntervalTCIndex) -> FrozenTCIndex:
     offsets, lows, highs = frozen_module._rank_runs_python(
         used, [index.intervals[node] for node in nodes])
     return FrozenTCIndex.from_buffers(
-        nodes=nodes, numbers=list(used), offsets=offsets, lows=lows,
-        highs=highs, epoch=index.epoch)
+        nodes=nodes, offsets=offsets, lows=lows, highs=highs,
+        epoch=index.epoch)
 
 
 def gap_only_intervals(index: IntervalTCIndex) -> int:
@@ -405,15 +420,16 @@ def direct_graphs():
 
 
 class TestDirectBuild:
-    @pytest.mark.parametrize("gap", [1, DEFAULT_GAP, 1024])
+    @pytest.mark.parametrize("gap", [1, DEFAULT_GAP, 1024, 2**57, 2**62])
     @pytest.mark.parametrize("policy", ["alg1", "first_parent"])
     def test_bytes_equal_the_staged_route(self, monkeypatch, gap, policy):
+        """A snapshot stores ranks only, so the direct build (which takes
+        no gap) equals the staged route at every gap, including gaps
+        that number nodes past int64."""
         for name, graph in direct_graphs():
             frozen = direct_build(graph, monkeypatch, gap=gap, policy=policy)
             assert rtcf_bytes(frozen) == staged_bytes(
                 graph, gap=gap, policy=policy), name
-            assert frozen._numbers == [gap * (rank + 1)
-                                       for rank in range(len(graph))]
 
     @pytest.mark.parametrize("options", [
         pytest.param({"merge_ordering": True}, id="merge-ordering"),

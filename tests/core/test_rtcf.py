@@ -10,16 +10,17 @@ diagnosis — never a silently wrong index.
 import json
 import os
 import random
+from fractions import Fraction
 
 import pytest
 
 from repro.core.frozen import FrozenTCIndex, _rank_runs_python
 from repro.core.index import IntervalTCIndex
-from repro.core.rtcf import (DTYPE_INT32, DTYPE_INT64, MAGIC,
-                             MappedFrozenTCIndex, _assemble,
+from repro.core.rtcf import (DTYPE_INT32, DTYPE_INT64, MAGIC, SEC_LABELS,
+                             SEC_NUMBERS, MappedFrozenTCIndex, _assemble,
                              _derive_sections_stdlib, _interval_dtype_code,
-                             load_rtcf, rtcf_bytes, save_rtcf, sniff_rtcf,
-                             verify_rtcf)
+                             _pack_ints, load_rtcf, rtcf_bytes, save_rtcf,
+                             sniff_rtcf, verify_rtcf)
 from repro.core.serialize import save_frozen_index
 from repro.errors import (CorruptFileError, IndexStateError,
                           NodeNotFoundError, ReproError)
@@ -27,6 +28,7 @@ from repro.factory import open_index
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import random_dag
 from repro.testing.faults import flip_byte
+from repro.testing.oracle import SetClosureOracle, compare_engine
 
 def small_graph() -> DiGraph:
     return DiGraph(arcs=[("a", "b"), ("b", "c"), ("b", "d"), ("a", "e"),
@@ -95,24 +97,53 @@ class TestRoundTrip:
         assert not sniff_rtcf(str(other))
         assert not sniff_rtcf(str(tmp_path / "absent.rtcf"))
 
-    def test_fractional_numbering_is_rejected(self, tmp_path):
+    def test_fractional_numbering_round_trips(self, tmp_path):
+        """The snapshot is in rank space, so Fraction numbers never
+        reach the file."""
         index = IntervalTCIndex.build(small_graph(), numbering="fractional",
                                       gap=4)
-        index.add_node("g", ["a"])  # force a Fraction into the numbering
-        with pytest.raises(ReproError, match="fractional"):
-            rtcf_bytes(index.freeze())
+        for node, parent in (("g", "a"), ("h", "g"), ("i", "g"),
+                             ("j", "h")):
+            index.add_node(node, [parent])
+        index.add_arc("j", "d")
+        assert any(isinstance(number, Fraction)
+                   for number in index.used_numbers)
+        assert_round_trips(tmp_path, index)
 
-    def test_numbers_past_int64_are_rejected(self, tmp_path):
-        """A gap of 2**62 numbers a 3-node graph past int64: a typed
-        error from both writers, and no file left behind."""
-        frozen = open_index(DiGraph([("a", "b"), ("b", "c")]),
-                            engine="frozen", gap=2**62)
-        with pytest.raises(ReproError, match="int64"):
-            rtcf_bytes(frozen)
-        target = tmp_path / "big.rtcf"
-        with pytest.raises(ReproError, match="int64"):
-            save_rtcf(frozen, target)
-        assert os.listdir(tmp_path) == []
+    @pytest.mark.parametrize("route", ["staged", "direct"])
+    def test_numbers_past_int64_round_trip(self, tmp_path, route):
+        """A gap of 2**62 numbers a 3-node graph past int64; the file
+        holds ranks only, so both build routes save and reopen."""
+        graph = DiGraph([("a", "b"), ("b", "c")])
+        index = IntervalTCIndex.build(graph.copy(), gap=2**62)
+        assert max(index.used_numbers) >= 2**63
+        if route == "direct":
+            frozen = open_index(graph, engine="frozen", gap=2**62)
+            assert rtcf_bytes(frozen) == rtcf_bytes(index.freeze())
+        assert_round_trips(tmp_path, index)
+
+    def test_file_with_a_numbers_section_still_opens(self, tmp_path):
+        """Files from older releases carry postorder numbers in section
+        2; the reader ignores it, and a re-save drops it."""
+        index = churned(int_graph(60, seed=2), seed=3)
+        frozen = index.freeze()
+        used = index.used_numbers
+        nodes = [index.node_of_number[number] for number in used]
+        buffers = frozen.to_buffers()
+        sections, flags = _derive_sections_stdlib(
+            nodes, buffers["offsets"], buffers["lows"], buffers["highs"])
+        assert sections[0][0] == SEC_LABELS
+        sections.insert(1, (SEC_NUMBERS, DTYPE_INT64,
+                            _pack_ints(list(used), DTYPE_INT64)))
+        path = tmp_path / "old.rtcf"
+        path.write_bytes(_assemble(sections, flags, num_nodes=len(nodes),
+                                   num_intervals=frozen.num_intervals,
+                                   epoch=frozen.epoch))
+        assert "numbers" in verify_rtcf(str(path))["sections"]
+        mapped = load_rtcf(str(path), verify=True)
+        compare_engine("old-rtcf", mapped, oracle_of(index),
+                       predecessors=True)
+        assert rtcf_bytes(mapped) == rtcf_bytes(frozen)
 
     def test_unknown_format_name_rejected(self, tmp_path):
         frozen = IntervalTCIndex.build(small_graph()).freeze()
@@ -157,8 +188,9 @@ class TestMappedView:
         report = verify_rtcf(path)
         assert report["num_nodes"] == 50
         assert report["int_labels"] and report["has_lut"]
-        assert set(report["sections"]) >= {"labels", "numbers", "offsets",
-                                           "lows", "highs", "lut"}
+        assert set(report["sections"]) >= {"labels", "offsets", "lows",
+                                           "highs", "lut"}
+        assert "numbers" not in report["sections"]
 
     def test_close_releases_the_map(self, tmp_path):
         path, _ = saved(tmp_path, small_graph())
@@ -169,6 +201,26 @@ class TestMappedView:
         second.close()
 
 
+def oracle_of(index: IntervalTCIndex) -> SetClosureOracle:
+    return SetClosureOracle(index.graph.arcs(), nodes=index.graph.nodes())
+
+
+def assert_round_trips(tmp_path, index: IntervalTCIndex) -> None:
+    """save -> verified mmap load answers like the in-memory freeze and
+    the set-closure oracle."""
+    frozen = index.freeze()
+    path = str(tmp_path / "closure.rtcf")
+    save_rtcf(frozen, path)
+    assert open(path, "rb").read() == reference_bytes(index)
+    mapped = load_rtcf(path, verify=True)
+    oracle = oracle_of(index)
+    compare_engine("frozen", frozen, oracle, predecessors=True)
+    compare_engine("rtcf", mapped, oracle, predecessors=True)
+    nodes = list(index.nodes())
+    pairs = [(source, target) for source in nodes for target in nodes]
+    assert mapped.reachable_many(pairs) == frozen.reachable_many(pairs)
+
+
 def reference_bytes(index: IntervalTCIndex) -> bytes:
     """RTCF bytes by the reference route: the per-interval freeze loop
     and the pure-Python section derivation."""
@@ -176,8 +228,7 @@ def reference_bytes(index: IntervalTCIndex) -> bytes:
     nodes = [index.node_of_number[number] for number in used]
     offsets, lows, highs = _rank_runs_python(
         used, [index.intervals[node] for node in nodes])
-    sections, flags = _derive_sections_stdlib(nodes, used, offsets, lows,
-                                              highs)
+    sections, flags = _derive_sections_stdlib(nodes, offsets, lows, highs)
     return _assemble(sections, flags, num_nodes=len(nodes),
                      num_intervals=len(lows), epoch=index.epoch)
 
@@ -383,3 +434,20 @@ class TestDurabilitySidecar:
                      if name.endswith(".rtcf")]
         assert len(remaining) == 1  # rotation removed the stale sidecar
         assert os.path.basename(sidecar) not in remaining
+
+    def test_fractional_store_writes_a_mapped_sidecar(self, tmp_path):
+        from repro.durability import DurableTCIndex
+        directory = str(tmp_path / "store.d")
+        with DurableTCIndex.open(directory, numbering="fractional",
+                                 gap=2) as store:
+            store.add_node("a", [])
+            for node, parent in (("b", "a"), ("c", "b"), ("d", "b"),
+                                 ("e", "d")):
+                store.add_node(node, [parent])
+            assert any(isinstance(number, Fraction)
+                       for number in store.index.used_numbers)
+            path = store.checkpoint(frozen_sidecar=True)
+        mapped = open_index(path[:-len(".json")] + ".rtcf")
+        assert isinstance(mapped, MappedFrozenTCIndex)
+        assert mapped.successors("b") == {"b", "c", "d", "e"}
+        assert mapped.predecessors("e") == {"a", "b", "d", "e"}

@@ -38,7 +38,7 @@ class TestGraphStats:
         stats = graph_stats(DiGraph())
         assert stats.num_nodes == 0
         assert stats.depth == 0
-        assert recommend_engine(stats) == "interval"
+        assert recommend_engine(stats.num_nodes) == "interval"
 
     def test_as_dict_round_trips_fields(self):
         stats = graph_stats(path_graph(4))
@@ -49,22 +49,21 @@ class TestGraphStats:
 
 class TestRecommendation:
     def test_small_graphs_always_interval(self):
-        assert recommend_engine(graph_stats(path_graph(10))) == "interval"
-        assert recommend_engine(graph_stats(bipartite(10))) == "interval"
+        assert recommend_engine(len(path_graph(10))) == "interval"
+        assert recommend_engine(len(bipartite(10))) == "interval"
+        assert recommend_engine(THRESHOLDS["small_nodes"] - 1) == "interval"
 
     def test_deep_chain_selects_chain(self):
-        stats = graph_stats(path_graph(THRESHOLDS["small_nodes"] * 2))
-        assert stats.depth_ratio >= THRESHOLDS["deep_depth_ratio"]
-        assert recommend_engine(stats) == "chain"
+        graph = path_graph(THRESHOLDS["small_nodes"] * 2)
+        assert recommend_engine(len(graph)) == "chain"
 
     def test_large_bipartite_selects_chain(self):
         # The measured Figure 3.6 cell: chain posts the lowest
         # build+query total, so auto picks it over frozen here too.
-        stats = graph_stats(bipartite(160))
-        assert recommend_engine(stats) == "chain"
+        assert recommend_engine(len(bipartite(160))) == "chain"
 
     def test_threshold_table_is_complete(self):
-        assert set(THRESHOLDS) == {"small_nodes", "deep_depth_ratio"}
+        assert set(THRESHOLDS) == {"small_nodes"}
 
 
 class TestAutoAgreement:
@@ -77,7 +76,15 @@ class TestAutoAgreement:
     ])
     def test_auto_matches_recommendation(self, maker, expected):
         graph = maker()
-        recommended = recommend_engine(graph_stats(graph))
+        recommended = recommend_engine(graph.num_nodes)
         built = open_index(graph)
         assert isinstance(built, expected)
         assert built.capabilities().kind == recommended
+
+    def test_auto_computes_no_graph_statistics(self, monkeypatch):
+        """The rule reads only the node count, so auto skips the
+        chain decomposition and longest-path pass."""
+        def refuse(graph):
+            raise AssertionError("engine='auto' computed graph_stats")
+        monkeypatch.setattr("repro.core.select.graph_stats", refuse)
+        assert isinstance(open_index(path_graph(600)), ChainCoverIndex)

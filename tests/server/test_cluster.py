@@ -14,6 +14,7 @@ import json
 import os
 import signal
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -113,6 +114,31 @@ def test_read_your_writes_on_one_connection():
                 last = ack
                 # Immediate read on the same connection: must see it.
                 assert thread.run_coro(client.check("a", f"n{i}")) is True
+        finally:
+            thread.run_coro(client.close())
+
+
+def _fractional_factory():
+    """A hybrid whose index already numbers nodes with Fractions."""
+    engine = HybridTCIndex.from_arcs(ARCS, numbering="fractional", gap=2)
+    for name in ("e", "f", "g"):
+        engine.add_node(name, ["c"])
+    assert any(isinstance(number, Fraction)
+               for number in engine.index.used_numbers)
+    return engine
+
+
+def test_fractional_index_publishes_and_serves():
+    """Generations are stored in rank space, so a fractional-numbered
+    index publishes like any other, before and after a write."""
+    with ClusterThread(_fractional_factory, workers=2) as thread:
+        client = thread.connect()
+        try:
+            assert thread.run_coro(client.check("a", "g")) is True
+            ack = thread.run_coro(client.add_node("h", parents=["g"]))
+            assert ack >= 1
+            assert thread.run_coro(client.check("a", "h")) is True
+            assert thread.run_coro(client.check("d", "h")) is False
         finally:
             thread.run_coro(client.close())
 

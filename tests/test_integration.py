@@ -11,8 +11,8 @@ import random
 import pytest
 
 from repro.core.batch import apply_diff
-from repro.core.bidirectional import BidirectionalTCIndex
 from repro.core.condensation import CondensedIndex
+from repro.core.hybrid import HybridTCIndex
 from repro.core.index import IntervalTCIndex
 from repro.core.serialize import save_frozen_index, save_index
 from repro.factory import open_index
@@ -162,17 +162,22 @@ class TestViewVersusAlgebra:
                 assert ((a, b) in closure) == view.query(a, b), (a, b)
 
 
-class TestBidirectionalOverDatabaseGraph:
+class TestWhereUsedOverDatabaseGraph:
     def test_where_used_on_bom(self):
         relation = BinaryRelation([
             ("assembly", "sub1"), ("assembly", "sub2"),
             ("sub1", "bolt"), ("sub2", "bolt"), ("sub2", "nut"),
         ])
-        index = BidirectionalTCIndex.build(relation.to_graph())
+        # Thresholds high enough that the new part stays in the overlay.
+        index = HybridTCIndex.build(relation.to_graph(), max_delta=100,
+                                    max_ratio=100.0)
         assert index.predecessors("bolt", reflexive=False) == \
             {"assembly", "sub1", "sub2"}
         index.add_node("washer", parents=["sub1"])
+        assert index.delta_nodes == {"washer"}
         assert "assembly" in index.predecessors("washer")
+        assert index.predecessors("washer", reflexive=False) == \
+            {"assembly", "sub1"}
         index.verify()
 
 
