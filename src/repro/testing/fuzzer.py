@@ -521,7 +521,8 @@ def _propose(rng: random.Random, runner: FuzzRunner, next_label: List[int],
         "remove_non_tree_arc": 6,
         "remove_node": 16 if population > high else (2 if population <= low
                                                      else 6),
-        "merge": 3,
+        # Merging is refused under fractional numbering.
+        "merge": 0 if runner.index.numbering == "fractional" else 3,
         "renumber": 2,
         "freeze": 7,
         "compact": 3,

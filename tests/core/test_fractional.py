@@ -6,6 +6,7 @@ exists between any two rationals, so insertion never renumbers: existing
 labels are frozen for the life of the index.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -39,6 +40,33 @@ class TestConstruction:
     def test_unknown_numbering_rejected(self, paper_dag):
         with pytest.raises(IndexStateError):
             IntervalTCIndex.build(paper_dag, numbering="imaginary")
+
+
+class TestMergeRefused:
+    """Merging turns integer neighbours ``[a, h]``, ``[h+1, b]`` into
+    ``[a, b]``, and a fractional insert can then land in the seam
+    ``(h, h+1)``: the combination is refused wherever it would arise."""
+
+    def test_build_refused(self):
+        # Unrefused, inserts under this build left nodes 2, 5 and 24
+        # "reaching" a new node numbered 25/2 through a merged [11, 18].
+        graph = random_dag(30, 2.0, random.Random(3))
+        with pytest.raises(IndexStateError, match="merging"):
+            IntervalTCIndex.build(graph, gap=2, numbering="fractional",
+                                  merge=True)
+
+    def test_merge_intervals_refused(self, diamond):
+        index = build_fractional(diamond)
+        with pytest.raises(IndexStateError, match="merging"):
+            index.merge_intervals()
+        assert not index.merged
+        index.verify()
+
+    def test_loading_a_merged_fractional_document_refused(self, diamond):
+        document = index_to_dict(build_fractional(diamond))
+        document["merged"] = True
+        with pytest.raises(IndexStateError, match="merging"):
+            index_from_dict(document)
 
 
 class TestFrozenLabels:

@@ -1,5 +1,7 @@
 """Tests for the Section 4.1 local renumbering (shift to the first hole)."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -65,6 +67,41 @@ class TestLocalStrategy:
         for step in range(8):
             index.add_node(("wide", step), parents=[leaf])
         assert index.gap == 1          # local shifts never widen the stride
+        index.check_invariants()
+        index.verify()
+
+    def test_hole_at_a_reserved_lo_moves_that_lo(self):
+        """At gap >= 2 the first unused number above a parent can be the
+        reserved lo of the next subtree's tree interval; that lo must
+        shift with the numbers below it, or the subtree's intervals
+        start covering the number shifted into the hole."""
+        graph = random_dag(30, 2.0, random.Random(0))
+        index = IntervalTCIndex.build(graph, gap=2, renumber_strategy="local")
+        index.add_node("x", [4])
+        index.add_node("y", [4])
+        assert not index.reachable(16, 4)
+        index.check_invariants()
+        index.verify()
+
+    @pytest.mark.parametrize("gap", [1, 2, 8])
+    def test_mixed_stream_stays_exact(self, gap):
+        """Inserts that exhaust the gaps, mixed with removals that open
+        holes, under the local strategy."""
+        rng = random.Random(gap)
+        index = IntervalTCIndex.build(random_dag(30, 2.0, rng), gap=gap,
+                                      renumber_strategy="local")
+        for step in range(80):
+            nodes = sorted(index.nodes(), key=repr)
+            roll = rng.random()
+            if roll < 0.15:
+                index.remove_arc(*rng.choice(sorted(index.graph.arcs(),
+                                                    key=repr)))
+            elif roll < 0.25:
+                index.remove_node(rng.choice(nodes))
+            else:
+                index.add_node(("n", step),
+                               rng.sample(nodes, rng.choice((1, 2))))
+        assert index.renumber_count == 0
         index.check_invariants()
         index.verify()
 
