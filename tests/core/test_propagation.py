@@ -11,16 +11,21 @@ these tests compare the *full* label tables, not just query answers.
 
 import random
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
 from repro.core.index import DEFAULT_GAP, IntervalTCIndex, build_cover
-from repro.core.propagation import _levelize, run_propagation
+from repro.core.intervals import IntervalSet
+from repro.core.labeling import Labeling, merge_all, propagate_intervals
+from repro.core.frozen import _numpy
+from repro.core.propagation import _levelize, _sweep, run_propagation
 from repro.core.rtcf import rtcf_bytes
 from repro.errors import ReproError
 from repro.factory import open_index
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import path_graph, random_dag, random_dag_local
+from repro.graph.traversal import topological_order
 from repro.testing.oracle import (SetClosureOracle, build_reference_index,
                                   compare_engine)
 
@@ -31,8 +36,9 @@ from .test_rtcf import reference_bytes
 ROUTES = ("vectorized", "direct")
 
 #: Numbering gaps: the paper's 1, small and default strides, one whose
-#: numbers overflow the level sweep's int64 keys, and one whose numbers
-#: do not fit int64 at all.
+#: raw numbers would overflow the level sweep's int64 keys, and one whose
+#: numbers do not fit int64 at all.  The kernel sees only end-point
+#: codes below 2n, so all of them take the same path.
 GAPS = [1, 4, 32, pytest.param(2**57, id="2**57"),
         pytest.param(2**62, id="2**62")]
 
@@ -131,10 +137,10 @@ class TestParity:
 
 
 class TestSweepKeyOverflow:
-    """Gaps so wide that the level sweep's int64 keys overflow: a wide
-    level whose composite sort key overflows falls back to ``lexsort``,
-    and one whose segmented sweep keys overflow to the scalar merge;
-    both must still equal the sequential pass."""
+    """Gaps so wide that raw numbers would overflow the level sweep's
+    int64 keys.  Every route feeds the kernel codes below 2n, so wide
+    gaps stay on the fast sweep; the ``lexsort`` sort that very large
+    graphs need is tested on :func:`_sweep` directly."""
 
     #: 16 nodes: single-node chain levels plus a two-root level whose
     #: top number is 16 * 2**57 = 2**61.
@@ -161,15 +167,12 @@ class TestSweepKeyOverflow:
             counted("merge_scalar", propagation_module._merge_scalar))
         return counts
 
-    def test_both_fallbacks_match_python(self, calls):
+    def test_wide_gap_build_stays_on_the_fast_sweep(self, calls):
         graph = DiGraph(arcs=self.ARCS)
         assert len(graph) == 16
         one_node_levels = list(level_sizes(graph)).count(1)
         candidate = IntervalTCIndex.build(graph.copy(), gap=self.GAP)
-        assert calls["lexsort"] > 0
-        # Every one-node level takes the scalar merge; more calls than
-        # that means a wide level took it too.
-        assert calls["merge_scalar"] > one_node_levels
+        assert calls == {"lexsort": 0, "merge_scalar": one_node_levels}
         reference = build_reference_index(graph.copy(), gap=self.GAP)
         assert interval_table(candidate) == interval_table(reference)
 
@@ -181,12 +184,39 @@ class TestSweepKeyOverflow:
         assert rtcf_bytes(frozen) == rtcf_bytes(
             build_reference_index(graph.copy(), gap=self.GAP).freeze())
 
-    def test_numbers_beyond_int64_take_the_sequential_pass(self):
-        graph = DiGraph(arcs=[("a", "b"), ("b", "c")])
+    def test_numbers_beyond_int64_come_back_exact(self):
+        graph = DiGraph(arcs=self.ARCS + [("a", "b"), ("b", "c")])
         built = IntervalTCIndex.build(graph.copy(), gap=2**62)
-        assert built.postorder["a"] == 3 * 2**62
+        assert max(built.postorder.values()) == 19 * 2**62
         assert interval_table(built) == interval_table(
             build_reference_index(graph.copy(), gap=2**62))
+
+    def test_lexsort_sweep_matches_the_argsort_sweep(self, calls):
+        """A level whose composite key passes 2**62 sorts with
+        ``lexsort`` and keeps the same runs as the one-key sort."""
+        np = _numpy()
+        rng = np.random.default_rng(7)
+        owners = np.repeat(np.arange(6, dtype=np.int64), 8)
+        los = rng.integers(0, 20, size=len(owners))
+        his = los + rng.integers(0, 20, size=len(owners))
+        small = _sweep(np, los, his, owners)
+        assert calls["lexsort"] == 0
+        shift = 2**30    # owner * lo * hi spans now pass 2**62
+        wide = _sweep(np, los + shift, his + shift, owners)
+        assert calls["lexsort"] == 1
+        assert np.array_equal(wide[0], small[0] + shift)
+        assert np.array_equal(wide[1], small[1] + shift)
+        assert np.array_equal(wide[2], small[2])
+        for owner in range(6):
+            pairs = {(lo, hi) for lo, hi, who
+                     in zip(los.tolist(), his.tolist(), owners.tolist())
+                     if who == owner}
+            maximal = sorted(pair for pair in pairs if not any(
+                other != pair and other[0] <= pair[0] and other[1] >= pair[1]
+                for other in pairs))
+            kept = [(lo, hi) for lo, hi, who in zip(*(a.tolist() for a in small))
+                    if who == owner]
+            assert kept == maximal
 
 
 class TestRenumberAfterVectorizedBuild:
@@ -222,6 +252,80 @@ class TestRenumberAfterVectorizedBuild:
         compare_engine("frozen", frozen, oracle, predecessors=True)
         assert rtcf_bytes(frozen) == reference_bytes(built)
         assert rtcf_bytes(frozen) == rtcf_bytes(reference.freeze())
+
+
+class TestRecomputeParity:
+    """The Section 4.2 recompute behind every deletion and renumbering
+    runs the kernel: after each such op in a seeded update stream, every
+    node's set must equal the sequential pass over the index's current
+    tree intervals."""
+
+    CONFIGS = {
+        "global": dict(gap=8),
+        "global-gap1": dict(gap=1),
+        "local": dict(gap=2, renumber_strategy="local"),
+        "fractional": dict(gap=2, numbering="fractional"),
+        "merged": dict(gap=8, merge=True),
+        "gap-2**62": dict(gap=2**62),
+    }
+
+    @staticmethod
+    def sequential_table(index):
+        """:func:`propagate_intervals` over the current graph and tree
+        intervals, merged afterwards on a merged index; for a merged
+        index also the removed recompute's merge-during-the-pass form,
+        which must agree over integer numbers."""
+        order = topological_order(index.graph)
+        labeling = Labeling(
+            postorder=index.postorder, tree_interval=index.tree_interval,
+            intervals={node: IntervalSet([index.tree_interval[node]])
+                       for node in order})
+        propagate_intervals(index.graph, SimpleNamespace(order=order),
+                            labeling)
+        if index.merged:
+            merge_all(labeling)
+            during = {}
+            for node in reversed(order):
+                fresh = IntervalSet([index.tree_interval[node]])
+                for successor in index.graph.successors(node):
+                    fresh.add_all(during[successor])
+                during[node] = fresh.merged()
+            assert {node: sorted(value) for node, value in during.items()} \
+                == {node: sorted(labeling.intervals[node]) for node in order}
+        return {node: sorted(labeling.intervals[node]) for node in order}
+
+    @pytest.mark.parametrize("config", sorted(CONFIGS))
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_recompute_matches_sequential_pass(self, config, seed):
+        rng = random.Random(seed)
+        index = IntervalTCIndex.build(random_dag(30, 2.0, rng),
+                                      **self.CONFIGS[config])
+        recomputes = 0
+        for step in range(60):
+            nodes = sorted(index.nodes(), key=repr)
+            roll = rng.random()
+            if roll < 0.45:
+                index.add_node(("n", step),
+                               rng.sample(nodes, min(len(nodes), 2)))
+                continue
+            if roll < 0.6:
+                source, destination = rng.sample(nodes, 2)
+                if not index.reachable(destination, source):
+                    index.add_arc(source, destination)
+                continue
+            if roll < 0.85 and index.graph.num_arcs:
+                index.remove_arc(*rng.choice(sorted(index.graph.arcs(),
+                                                    key=repr)))
+            elif roll < 0.95:
+                index.remove_node(rng.choice(nodes))
+            else:
+                index.renumber()
+            recomputes += 1
+            assert interval_table(index) == self.sequential_table(index), \
+                (config, seed, step)
+        assert recomputes > 10
+        index.check_invariants()
+        index.verify()
 
 
 class TestDispatch:
