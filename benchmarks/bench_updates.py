@@ -3,7 +3,9 @@
 Measures the three write paths the paper optimises: new-node insertion
 (tree arc, absorbed by numbering gaps), non-tree arc insertion (cut-off
 propagation), and the refinement pattern (new node under parents that
-already subsume its reach).  Also the gap-width ablation from DESIGN.md.
+already subsume its reach).  Non-tree arc deletion is recorded beside
+them, to put its full-recompute cost on record.  Also the gap-width
+ablation from DESIGN.md.
 """
 
 from __future__ import annotations
@@ -25,13 +27,18 @@ def update_rows(scale):
 
 
 def test_incremental_beats_rebuild(update_rows):
+    """Every insertion beats rebuild-per-update by 5x.  The deletion row
+    is on record with no bar: a Section 4.2 deletion recomputes every
+    node's intervals, one propagation pass, so it costs about what the
+    propagation step of a rebuild does."""
     record_result(
         "updates",
         format_table(update_rows,
                      title="Section 4: incremental maintenance vs rebuild-per-update"),
     )
     for row in update_rows:
-        assert row["speedup"] > 5.0, row
+        if not row["workload"].startswith("delete"):
+            assert row["speedup"] > 5.0, row
 
 
 def test_updates_preserve_exactness(scale):

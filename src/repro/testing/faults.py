@@ -7,9 +7,9 @@ can assert the fuzzer *catches* it, the shrinker minimises it, and the
 crash file replays it.  Faults are context managers and always restore
 the patched attribute:
 
-* ``keep-subsumed`` — interval insertion and the build's propagation
-  kernel stop discarding subsumed intervals, breaking the Section 3.2
-  elimination rule (caught by the subsumption audit);
+* ``keep-subsumed`` — interval insertion and the propagation kernel
+  (builds and recomputes) stop discarding subsumed intervals, breaking
+  the Section 3.2 elimination rule (caught by the subsumption audit);
 * ``cutoff-propagation`` — non-tree arc insertion updates the arc's
   source but never walks the predecessor lists, losing reachability
   upstream (caught by the differential check);

@@ -81,7 +81,8 @@ class TestOtherDrivers:
 
     def test_update_cost_rows(self):
         rows = update_cost(60, 2, batch=8, seed=7)
-        assert len(rows) == 2
+        assert [row["workload"].split()[0] for row in rows] == [
+            "insert", "refine:", "insert", "delete"]
         assert all(row["incremental_s"] >= 0 for row in rows)
 
     def test_query_effort_rows(self):
