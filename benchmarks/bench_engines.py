@@ -24,9 +24,11 @@ Each cell builds the engine once and times a seeded mixed query load
 sweeps) is the race the ``auto`` rule is judged by.  Beside it, each
 cell times ``predecessors`` over the same sweep nodes
 (``predecessor_sweep_seconds``; ``first_predecessor_seconds`` is the
-first call alone, which pays any lazily built reverse structure).  ``storage_units`` is one unit in every engine,
-the paper's Section 3.3 accounting: two stored numbers per interval or
-chain entry.  The frozen engine's buffer footprint rides along as
+first call alone, which pays any lazily built reverse structure) and
+counts ``reachable_from_set`` answers over groups of 8 sweep nodes
+(``semijoin_rows``); every count enters the cross-engine parity check.
+``storage_units`` is one unit in every engine, the paper's Section 3.3
+accounting: two stored numbers per interval or chain entry.  The frozen engine's buffer footprint rides along as
 ``nbytes``.  The pytest wrapper checks the *committed* file still backs
 the auto-selection rule: :func:`repro.recommend_engine` must name the
 measured-fastest engine (by total = build + query wall time) on at
@@ -106,6 +108,11 @@ def run_cell(name: str, graph: DiGraph, pairs, sweeps) -> dict:
         predecessor_sizes.append(len(engine.predecessors(node)))
         marks.append(time.perf_counter())
 
+    # Forward semijoins over groups of 8 sweep nodes: the snapshot
+    # engines' gathered-run path, checked for parity, outside the race.
+    semijoin_sizes = [len(engine.reachable_from_set(sweeps[start:start + 8]))
+                      for start in range(0, len(sweeps), 8)]
+
     storage = engine.stats()
     payload = storage.as_dict() if hasattr(storage, "as_dict") else storage
     # Frozen reports no storage_units: count its coalesced runs the way
@@ -125,6 +132,7 @@ def run_cell(name: str, graph: DiGraph, pairs, sweeps) -> dict:
         "reachable_fraction": round(sum(answers) / max(len(answers), 1), 4),
         "sweep_result_rows": sum(sweep_sizes),
         "predecessor_rows": sum(predecessor_sizes),
+        "semijoin_rows": sum(semijoin_sizes),
         "storage_units": storage_units,
         "nbytes": payload.get("nbytes"),
     }
@@ -138,10 +146,11 @@ def run_shape(shape: str, make_graph, *, pairs: int, sweeps: int) -> dict:
     cells = [run_cell(name, graph, pair_load, sweep_load)
              for name in ENGINE_BUILDERS]
     # Cross-engine parity on the sampled load: every cell must agree on
-    # how many pairs were reachable and how many successor and
-    # predecessor rows came back.
+    # how many pairs were reachable and how many successor, predecessor
+    # and semijoin rows came back.
     fractions = {cell["reachable_fraction"] for cell in cells}
-    rows = {(cell["sweep_result_rows"], cell["predecessor_rows"])
+    rows = {(cell["sweep_result_rows"], cell["predecessor_rows"],
+             cell["semijoin_rows"])
             for cell in cells}
     if len(fractions) != 1 or len(rows) != 1:
         raise AssertionError(

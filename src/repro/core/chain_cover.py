@@ -252,6 +252,26 @@ class ChainCoverIndex(EngineBase):
         earliest = self._reach[source].get(chain_id)
         return earliest is not None and earliest <= sequence
 
+    @instrumented("reachable_many")
+    def reachable_many(self, pairs: Iterable[Tuple[Node, Node]]) -> List[bool]:
+        """Batch :meth:`reachable`: two dict probes per pair, inline —
+        no per-pair method call."""
+        reach = self._reach
+        position_of = self._position_of
+        answers: List[bool] = []
+        for source, destination in pairs:
+            try:
+                entries = reach[source]
+            except KeyError:
+                raise NodeNotFoundError(source) from None
+            try:
+                chain_id, sequence = position_of[destination]
+            except KeyError:
+                raise NodeNotFoundError(destination) from None
+            earliest = entries.get(chain_id)
+            answers.append(earliest is not None and earliest <= sequence)
+        return answers
+
     @instrumented("successors")
     def successors(self, source: Node, *, reflexive: bool = True) -> Set[Node]:
         """Decode the successor set from the chain suffixes — O(answer)."""
@@ -320,7 +340,7 @@ class ChainCoverIndex(EngineBase):
         return seen if reflexive else seen - 1
 
     # ------------------------------------------------------------------
-    # set semijoins on chain positions (the batch forms and
+    # set semijoins on chain positions (the set batch forms and
     # reachable_from_set come from EngineBase)
     # ------------------------------------------------------------------
     @instrumented("reaching_set")

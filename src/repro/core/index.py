@@ -118,9 +118,7 @@ class IntervalTCIndex(EngineBase):
             raise IndexStateError(
                 f"numbering must be 'integer' or 'fractional', got {numbering!r}")
         if numbering == "fractional" and labeling.gap < 2:
-            raise IndexStateError(
-                "fractional numbering needs gap >= 2 so every tree interval "
-                "has positive width to subdivide")
+            raise IndexStateError(_updates.FRACTIONAL_GAP)
         if numbering == "fractional" and merged:
             raise IndexStateError(_FRACTIONAL_MERGE)
         self.graph = graph

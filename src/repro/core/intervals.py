@@ -171,34 +171,6 @@ class IntervalSet:
         self._los, self._his = new_los, new_his
         return changed
 
-    def discard_containing(self, point: int) -> List[Interval]:
-        """Remove and return every interval that contains ``point``.
-
-        Used by the deletion algorithms when postorder numbers are retired.
-        """
-        removed = []
-        keep_los: List[int] = []
-        keep_his: List[int] = []
-        for lo, hi in zip(self._los, self._his):
-            if lo <= point <= hi:
-                removed.append(Interval(lo, hi))
-            else:
-                keep_los.append(lo)
-                keep_his.append(hi)
-        self._los, self._his = keep_los, keep_his
-        return removed
-
-    def translate(self, mapping: dict) -> "IntervalSet":
-        """Rewrite end-points through ``mapping`` (old number -> new number).
-
-        End-points absent from the mapping are kept.  Used by the
-        renumbering step of the incremental update algorithms.
-        """
-        rewritten = IntervalSet()
-        for lo, hi in zip(self._los, self._his):
-            rewritten.add(make_interval(mapping.get(lo, lo), mapping.get(hi, hi)))
-        return rewritten
-
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------

@@ -59,6 +59,10 @@ from repro.graph.traversal import topological_order
 if TYPE_CHECKING:  # pragma: no cover - import for type checkers only
     from repro.core.index import IntervalTCIndex
 
+#: Why fractional numbering refuses a gap below 2, at build and renumber.
+FRACTIONAL_GAP = ("fractional numbering needs gap >= 2 so every tree "
+                  "interval has positive width to subdivide")
+
 
 # ----------------------------------------------------------------------
 # free-number bookkeeping
@@ -143,7 +147,7 @@ def claim_slot_fractional(index: "IntervalTCIndex", parent: Node) -> Tuple[objec
         cursor = max(cursor, Fraction(child_hi))
     gaps.append((cursor, Fraction(parent_number)))
     a, b = max(gaps, key=lambda gap: gap[1] - gap[0])
-    if b <= a:  # a zero-width leaf, left by renumber(gap=1)
+    if b <= a:  # a zero-width leaf: gap >= 2 (enforced) rules it out
         raise NumberingExhaustedError(f"no continuous gap under {parent!r}")
     number = (a + b) / 2
     lo = (a + number) / 2
@@ -446,10 +450,15 @@ def renumber(index: "IntervalTCIndex", gap: Optional[int] = None) -> None:
     Restores full insertion headroom (every node regains its reserved
     gap).  Tree-cover shape is preserved, so this is O(n) numbering plus
     one closure propagation — much cheaper than a rebuild, though only a
-    rebuild restores Alg1 optimality after many updates.
+    rebuild restores Alg1 optimality after many updates.  Under
+    fractional numbering a gap below 2 raises ``IndexStateError`` before
+    any state changes, as the constructor does: it would leave zero-width
+    leaf intervals with nothing to subdivide.
     """
     stride = index.gap if gap is None else gap
     labeling = assign_postorder(index.cover, stride)  # rejects gap < 1
+    if index.numbering == "fractional" and stride < 2:
+        raise IndexStateError(FRACTIONAL_GAP)
     index.gap = stride
     index._invalidate()
     index._renumber_count = getattr(index, "_renumber_count", 0) + 1

@@ -561,7 +561,9 @@ def _propose(rng: random.Random, runner: FuzzRunner, next_label: List[int],
     if kind == "merge":
         return ["merge"]
     if kind == "renumber":
-        return ["renumber", rng.randint(1, 12)]
+        # Fractional numbering refuses a gap below 2.
+        low_gap = 2 if runner.index.numbering == "fractional" else 1
+        return ["renumber", rng.randint(low_gap, 12)]
     if kind == "freeze":
         return ["freeze"]
     if kind == "compact":

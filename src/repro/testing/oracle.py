@@ -18,6 +18,7 @@ no sharing with the code under test.
 
 from __future__ import annotations
 
+import random
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.errors import ReproError
@@ -404,9 +405,13 @@ def compare_engine(name: str, engine, oracle: SetClosureOracle, *,
 
     Compares the full successor set of every node (which subsumes every
     pairwise ``reachable`` answer) and, when ``predecessors`` is set, the
-    full predecessor set too.  Engines that only answer ``reachable``
-    (the inverse-closure baseline) are checked pairwise instead.  Raises
-    :class:`DifferentialMismatch` on the first disagreement.
+    full predecessor set too.  The batch paths, which engines implement
+    apart from their point queries, are checked as well: one
+    ``reachable_many`` over every node pair and ``reachable_from_set``
+    over seeded source groups (see :func:`_source_groups`).
+    Engines that only answer ``reachable`` (the inverse-closure baseline)
+    are checked pairwise instead.  Raises :class:`DifferentialMismatch` on
+    the first disagreement.
     """
     checks = 0
     if not hasattr(engine, "successors"):
@@ -431,6 +436,58 @@ def compare_engine(name: str, engine, oracle: SetClosureOracle, *,
                     f"predecessors({node!r}) wrong: "
                     f"missing={sorted(map(repr, expected_pred - answer_pred))} "
                     f"extra={sorted(map(repr, answer_pred - expected_pred))}")
+    return checks + _compare_batches(name, engine, oracle)
+
+
+#: Seeds the semijoin groups, so a replayed trace checks the same ones.
+_GROUP_SEED = 1989
+
+
+def _source_groups(nodes: List[Node]) -> List[List[Node]]:
+    """Semijoin inputs: the empty group, one source given twice, and
+    seeded random groups of 1-8 sources, one of them with a repeat."""
+    if not nodes:
+        return [[]]
+    rng = random.Random(_GROUP_SEED)
+    groups: List[List[Node]] = [[], [nodes[0], nodes[0]]]
+    for _ in range(4):
+        groups.append(rng.sample(nodes, rng.randint(1, min(8, len(nodes)))))
+    groups[-1].append(groups[-1][0])
+    return groups
+
+
+def _compare_batches(name: str, engine, oracle: SetClosureOracle) -> int:
+    """Check ``reachable_many`` and ``reachable_from_set``, where the
+    engine has them, against the oracle; return checks run."""
+    checks = 0
+    nodes = oracle.nodes()
+    if hasattr(engine, "reachable_many"):
+        pairs = [(source, destination)
+                 for source in nodes for destination in nodes]
+        answers = list(engine.reachable_many(pairs))
+        checks += 1
+        if len(answers) != len(pairs):
+            raise DifferentialMismatch(
+                name, f"reachable_many returned {len(answers)} answers "
+                      f"for {len(pairs)} pairs")
+        for (source, destination), answer in zip(pairs, answers):
+            if answer != oracle.reachable(source, destination):
+                raise DifferentialMismatch(
+                    name,
+                    f"reachable_many: ({source!r}, {destination!r}) = "
+                    f"{answer}, oracle says "
+                    f"{oracle.reachable(source, destination)}")
+    if hasattr(engine, "reachable_from_set"):
+        for group in _source_groups(nodes):
+            expected = set().union(*map(oracle.successors, group))
+            answer = set(engine.reachable_from_set(group))
+            checks += 1
+            if answer != expected:
+                raise DifferentialMismatch(
+                    name,
+                    f"reachable_from_set({group!r}) wrong: "
+                    f"missing={sorted(map(repr, expected - answer))} "
+                    f"extra={sorted(map(repr, answer - expected))}")
     return checks
 
 

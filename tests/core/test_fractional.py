@@ -42,6 +42,33 @@ class TestConstruction:
             IntervalTCIndex.build(paper_dag, numbering="imaginary")
 
 
+class TestRenumberGapRefused:
+    """``renumber(gap=1)`` would leave zero-width leaf intervals with
+    nothing to subdivide, so the next insert under a leaf would renumber
+    after all (or raise with ``auto_renumber=False``)."""
+
+    def test_refused_before_any_state_changes(self, diamond):
+        index = build_fractional(diamond)
+        index.journal = []
+        frozen = index.freeze()
+        before = (dict(index.postorder), index.gap, index.renumber_count,
+                  index.epoch)
+        with pytest.raises(IndexStateError, match="gap >= 2"):
+            index.renumber(1)
+        assert (dict(index.postorder), index.gap, index.renumber_count,
+                index.epoch) == before
+        assert index.journal == []
+        assert not frozen.is_stale()
+
+    def test_inserts_never_renumber_after_an_allowed_renumber(self, diamond):
+        index = build_fractional(diamond, auto_renumber=False)
+        index.renumber(2)
+        for step in range(20):
+            index.add_node(("leaf", step), parents=["d"])
+        assert index.renumber_count == 1
+        index.verify()
+
+
 class TestMergeRefused:
     """Merging turns integer neighbours ``[a, h]``, ``[h+1, b]`` into
     ``[a, b]``, and a fractional insert can then land in the seam

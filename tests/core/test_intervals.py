@@ -179,34 +179,6 @@ class TestMerging:
             assert merged.covers(point) == interval_set.covers(point)
 
 
-class TestMutationHelpers:
-    def test_discard_containing(self):
-        interval_set = IntervalSet([Interval(1, 3), Interval(5, 9), Interval(11, 12)])
-        removed = interval_set.discard_containing(6)
-        assert removed == [Interval(5, 9)]
-        assert list(interval_set) == [Interval(1, 3), Interval(11, 12)]
-
-    def test_discard_nothing(self):
-        interval_set = IntervalSet([Interval(1, 3)])
-        assert interval_set.discard_containing(10) == []
-        assert len(interval_set) == 1
-
-    def test_translate_monotone_mapping(self):
-        interval_set = IntervalSet([Interval(1, 3), Interval(5, 9)])
-        translated = interval_set.translate({1: 11, 3: 13, 5: 15, 9: 19})
-        assert list(translated) == [Interval(11, 13), Interval(15, 19)]
-
-    def test_translate_partial_mapping_keeps_unmapped(self):
-        interval_set = IntervalSet([Interval(5, 9)])
-        translated = interval_set.translate({9: 12})
-        assert list(translated) == [Interval(5, 12)]
-
-    def test_translate_non_monotone_raises(self):
-        interval_set = IntervalSet([Interval(1, 3)])
-        with pytest.raises(ReproError):
-            interval_set.translate({1: 100})
-
-
 class TestIntervalsFromPoints:
     def test_runs_collapse(self):
         interval_set = intervals_from_points([1, 2, 3, 7, 8, 12])

@@ -106,12 +106,3 @@ def test_add_all_equals_sequential_add(existing, incoming):
     assert list(bulk) == list(sequential)
     assert changed_bulk == changed_sequential
     bulk.check_invariants()
-
-
-@given(interval_lists, st.integers(0, 60))
-def test_discard_containing_model(interval_list, point):
-    interval_set = IntervalSet(interval_list)
-    kept_before = [iv for iv in interval_set if not (iv.lo <= point <= iv.hi)]
-    removed = interval_set.discard_containing(point)
-    assert all(interval.lo <= point <= interval.hi for interval in removed)
-    assert list(interval_set) == kept_before

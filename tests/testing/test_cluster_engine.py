@@ -40,8 +40,10 @@ def test_factory_builds_comparable_engine():
     oracle = SetClosureOracle(arcs=graph.arcs())
     engine = ENGINE_FACTORIES["cluster"](graph)
     try:
+        # 3 successor + 3 predecessor sets, one all-pairs batch, six
+        # reachable_from_set groups
         assert compare_engine("cluster", engine, oracle,
-                              predecessors=True) == 6
+                              predecessors=True) == 6 + 1 + 6
     finally:
         engine.close()
 

@@ -62,3 +62,50 @@ def test_pairwise_fallback_for_reachable_only_engines():
     oracle = SetClosureOracle(arcs=[(0, 1), (2, 3)])
     with pytest.raises(DifferentialMismatch):
         compare_engine("stub", ReachableOnly(), oracle)
+
+
+class TestBatchChecks:
+    """compare_engine checks the batch paths apart from the point and
+    set queries: an engine wrong only there is caught."""
+
+    ARCS = [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4), (0, 5)]
+
+    def engine(self):
+        from repro.core.chain_cover import ChainCoverIndex
+        from repro.graph.digraph import DiGraph
+        return ChainCoverIndex.build(DiGraph(self.ARCS))
+
+    def test_wrong_reachable_many_is_caught(self):
+        engine = self.engine()
+        right = engine.reachable_many
+        engine.reachable_many = lambda pairs: [
+            not answer if index == 7 else answer
+            for index, answer in enumerate(right(pairs))]
+        with pytest.raises(DifferentialMismatch, match="reachable_many"):
+            compare_engine("chain", engine, SetClosureOracle(arcs=self.ARCS))
+
+    @pytest.mark.parametrize("bad_group", [
+        pytest.param(lambda group: not group, id="empty"),
+        pytest.param(lambda group: len(group) != len(set(group)),
+                     id="repeated-source")])
+    def test_wrong_semijoin_is_caught(self, bad_group):
+        engine = self.engine()
+        right = engine.reachable_from_set
+
+        def reachable_from_set(sources):
+            sources = list(sources)
+            answer = right(sources)
+            return answer | {"intruder"} if bad_group(sources) else answer
+
+        engine.reachable_from_set = reachable_from_set
+        with pytest.raises(DifferentialMismatch, match="reachable_from_set"):
+            compare_engine("chain", engine, SetClosureOracle(arcs=self.ARCS))
+
+    def test_groups_are_seeded(self):
+        from repro.testing.oracle import _source_groups
+        nodes = list(range(30))
+        groups = _source_groups(nodes)
+        assert groups == _source_groups(nodes)
+        assert groups[:2] == [[], [0, 0]]
+        assert len(groups[-1]) != len(set(groups[-1]))
+        assert _source_groups([]) == [[]]
