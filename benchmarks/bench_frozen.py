@@ -12,6 +12,9 @@ Run as a script to (re)generate ``BENCH_frozen.json`` at the repo root::
     $ python benchmarks/bench_frozen.py            # paper scale (20k nodes)
     $ python benchmarks/bench_frozen.py --smoke    # CI-sized sanity run
 
+A smoke run with no ``--output`` writes to a throwaway file in the
+temp directory, never over the committed results.
+
 The script verifies — inside the timed harness, on the exact same
 inputs — that the frozen answers are identical to the dict engine's
 before any speedup is reported.  The pytest wrappers below run the same
@@ -23,6 +26,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import tempfile
 import time
 from pathlib import Path
 from random import Random
@@ -33,6 +37,7 @@ from repro.graph.generators import random_dag
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 DEFAULT_OUTPUT = REPO_ROOT / "BENCH_frozen.json"
+SMOKE_OUTPUT = Path(tempfile.gettempdir()) / "BENCH_frozen.smoke.json"
 
 
 def _best_of(repeats: int, workload: Callable[[], object]) -> float:
@@ -168,8 +173,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--seed", type=int, default=1989)
     parser.add_argument("--smoke", action="store_true",
                         help="reduced scale for CI (overrides --nodes/--pairs)")
-    parser.add_argument("--output", default=str(DEFAULT_OUTPUT))
+    parser.add_argument("--output",
+                        help=f"default {DEFAULT_OUTPUT.name} at the repo root; "
+                             f"under --smoke, {SMOKE_OUTPUT}")
     args = parser.parse_args(argv)
+    if args.output is None:
+        args.output = str(SMOKE_OUTPUT if args.smoke else DEFAULT_OUTPUT)
 
     if args.smoke:
         args.nodes = min(args.nodes, 2000)
@@ -211,6 +220,16 @@ def test_frozen_beats_dict_on_batches(tmp_path):
     assert digest["reachable"]["count"] >= 1000
     assert digest["reachable_many"]["count"] >= 1
     assert digest["reachable"]["p50_seconds"] <= digest["reachable"]["p99_seconds"]
+
+
+def test_smoke_run_leaves_committed_results_alone():
+    """``--smoke`` with no ``--output`` never overwrites the committed
+    20k-node BENCH_frozen.json."""
+    before = DEFAULT_OUTPUT.read_bytes()
+    assert main(["--smoke", "--nodes", "300", "--pairs", "300",
+                 "--repeats", "1"]) == 0
+    assert DEFAULT_OUTPUT.read_bytes() == before
+    assert json.loads(SMOKE_OUTPUT.read_text())["workloads"]
 
 
 if __name__ == "__main__":

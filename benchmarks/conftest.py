@@ -31,6 +31,7 @@ def scale() -> dict:
             "census_samples": 2000,
             "queries": 500,
             "update_batch": 40,
+            "renumber_nodes": (500,),
         }
     return {
         "nodes": 1000,
@@ -40,4 +41,5 @@ def scale() -> dict:
         "census_samples": 20000,
         "queries": 2000,
         "update_batch": 100,
+        "renumber_nodes": (5000, 20000),
     }

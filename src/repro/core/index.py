@@ -108,12 +108,7 @@ class IntervalTCIndex(EngineBase):
     def __init__(self, graph: DiGraph, cover: TreeCover, labeling: Labeling, *,
                  policy: str = "alg1", merged: bool = False,
                  auto_renumber: bool = True,
-                 renumber_strategy: str = "global",
                  numbering: str = "integer") -> None:
-        if renumber_strategy not in ("global", "local"):
-            raise IndexStateError(
-                f"renumber_strategy must be 'global' or 'local', "
-                f"got {renumber_strategy!r}")
         if numbering not in ("integer", "fractional"):
             raise IndexStateError(
                 f"numbering must be 'integer' or 'fractional', got {numbering!r}")
@@ -127,10 +122,6 @@ class IntervalTCIndex(EngineBase):
         self.policy = policy
         self.merged = merged
         self.auto_renumber = auto_renumber
-        #: How insertion reacts to running out of numbers: ``"global"``
-        #: renumbers the whole tree at a widened stride; ``"local"`` uses
-        #: the paper's shift-to-the-first-hole procedure (Section 4.1).
-        self.renumber_strategy = renumber_strategy
         #: ``"integer"`` (the paper's main scheme) or ``"fractional"`` —
         #: rational postorder numbers per the Section 4 footnote ("one
         #: could use real numbers"), under which insertion never exhausts.
@@ -161,8 +152,7 @@ class IntervalTCIndex(EngineBase):
     @classmethod
     def build(cls, graph: DiGraph, *, policy: str = "alg1", gap: int = DEFAULT_GAP,
               merge: bool = False, merge_ordering: bool = False,
-              auto_renumber: bool = True,
-              renumber_strategy: str = "global", numbering: str = "integer",
+              auto_renumber: bool = True, numbering: str = "integer",
               rng: Union[random.Random, int, None] = None) -> "IntervalTCIndex":
         """Compute the compressed closure of an acyclic ``graph``.
 
@@ -190,8 +180,7 @@ class IntervalTCIndex(EngineBase):
                             rng=rng)
         labeling = label_graph(graph, cover, gap, merge=merge)
         return cls(graph, cover, labeling, policy=policy, merged=merge,
-                   auto_renumber=auto_renumber,
-                   renumber_strategy=renumber_strategy, numbering=numbering)
+                   auto_renumber=auto_renumber, numbering=numbering)
 
     @classmethod
     def from_arcs(cls, arcs: Iterable[tuple], **kwargs) -> "IntervalTCIndex":
@@ -587,22 +576,8 @@ class IntervalTCIndex(EngineBase):
             gap=gap if gap is not None else self.gap,
             merge=self.merged,
             auto_renumber=self.auto_renumber,
-            renumber_strategy=self.renumber_strategy,
             numbering=self.numbering,
         )
-
-    def make_room(self, parent: Node) -> None:
-        """Open one free postorder number under ``parent`` (local shift).
-
-        The paper's Section 4.1 renumbering: used numbers between the
-        parent and the first hole shift up by one, interval end-points
-        shift with them, and exactly one insertion slot appears under the
-        parent.  Called automatically when ``renumber_strategy`` is
-        ``"local"``.
-        """
-        if parent not in self.postorder:
-            raise NodeNotFoundError(parent)
-        _updates.make_room(self, parent)
 
     # ------------------------------------------------------------------
     # verification (used extensively by the test suite)

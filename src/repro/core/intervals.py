@@ -65,13 +65,6 @@ class Interval(NamedTuple):
         return f"[{self.lo},{self.hi}]"
 
 
-def make_interval(lo: int, hi: int) -> Interval:
-    """Validated constructor: requires ``lo <= hi``."""
-    if lo > hi:
-        raise ReproError(f"invalid interval [{lo},{hi}]: lo > hi")
-    return Interval(lo, hi)
-
-
 class IntervalSet:
     """A subsumption-free set of intervals, the per-node closure record.
 
@@ -264,22 +257,6 @@ class IntervalSet:
                     "a subsumed interval survived"
                 )
 
-    def covered_points(self, universe: Iterable[int]) -> List[int]:
-        """The members of ``universe`` covered by the set (test helper)."""
-        return [point for point in universe if self.covers(point)]
-
-    def total_covered_span(self) -> int:
-        """Number of integers covered, counting overlaps once."""
-        covered = 0
-        previous_hi: Optional[int] = None
-        for lo, hi in zip(self._los, self._his):
-            start = lo if previous_hi is None else max(lo, previous_hi + 1)
-            if hi >= start:
-                covered += hi - start + 1
-            previous_hi = hi if previous_hi is None else max(previous_hi, hi)
-        return covered
-
-
 def intervals_from_points(points: Iterable[int]) -> IntervalSet:
     """Build the minimal merged interval set covering exactly ``points``.
 
@@ -302,7 +279,3 @@ def intervals_from_points(points: Iterable[int]) -> IntervalSet:
         result.add(Interval(run_start, run_end))
     return result
 
-
-def bisect_left_lo(interval_set: IntervalSet, value: int) -> int:
-    """Index of the first stored interval with ``lo >= value`` (bench helper)."""
-    return bisect_left(interval_set._los, value)

@@ -114,10 +114,3 @@ def _affinity_chain(children: List[Node],
         remaining.remove(best)
     return chain
 
-
-def build_merge_ordered_labeling(graph: DiGraph, cover: TreeCover, gap: int = 1):
-    """Convenience: apply the heuristic, then label with merging enabled."""
-    from repro.core.labeling import label_graph
-
-    order_children_for_merging(graph, cover)
-    return label_graph(graph, cover, gap, merge=True)

@@ -183,10 +183,6 @@ def save_index(index: IntervalTCIndex, path: Union[str, Path]) -> None:
     atomic_write_text(path, json.dumps(index_to_dict(index)))
 
 
-def _load_index(path: Union[str, Path]) -> IntervalTCIndex:
-    return _rebuild(path, index_from_dict, _read_document(path))
-
-
 # ----------------------------------------------------------------------
 # frozen buffers
 # ----------------------------------------------------------------------
@@ -318,10 +314,6 @@ def save_hybrid_index(hybrid: "HybridTCIndex",
                       path: Union[str, Path]) -> None:
     """Write a hybrid engine (base + delta log) to ``path`` atomically."""
     atomic_write_text(path, json.dumps(hybrid_to_dict(hybrid)))
-
-
-def _load_hybrid_index(path: Union[str, Path]) -> "HybridTCIndex":
-    return _rebuild(path, hybrid_from_dict, _read_document(path))
 
 
 def _load_any(path: Union[str, Path]):

@@ -10,10 +10,10 @@ The paper's update algorithms avoid recomputing the whole closure:
   where every propagated interval is already subsumed — the paper's
   cut-off, which makes "hierarchy refinement" insertions effectively
   constant-time.
-* **Running out of numbers** triggers renumbering: by default the whole
-  tree cover in one O(n + closure) pass, or, with
-  ``renumber_strategy="local"``, the paper's shift to the first hole
-  (:func:`make_room`).
+* **Running out of numbers** renumbers the whole tree cover in one
+  O(n + closure) pass at a widened stride (:func:`renumber`), where the
+  paper shifts numbers up to the first hole; fractional numbering (the
+  Section 4 footnote) never runs out.
 * **Deleting a tree arc** re-hangs the orphaned subtree under the virtual
   root with fresh numbers beyond the current maximum, then recomputes the
   non-tree intervals in one reverse-topological pass.  The paper instead
@@ -174,15 +174,9 @@ def add_node(index: "IntervalTCIndex", node: Node, parents: Sequence[Node] = ())
     except NumberingExhaustedError:
         if not index.auto_renumber:
             raise
-        if index.renumber_strategy == "local":
-            # Paper Section 4.1: shift numbers up to the first hole, which
-            # frees exactly one slot under this parent.
-            make_room(index, tree_parent)
-        else:
-            # Global renumbering at stride 1 reopens no gaps, so widen to
-            # at least 2; the new stride sticks, keeping later
-            # insertions cheap.
-            renumber(index, gap=max(index.gap, 2))
+        # Global renumbering at stride 1 reopens no gaps, so widen to at
+        # least 2; the new stride sticks, keeping later insertions cheap.
+        renumber(index, gap=max(index.gap, 2))
         number, interval = claim_slot(index, tree_parent)
 
     index._invalidate()
@@ -355,74 +349,6 @@ def remove_node(index: "IntervalTCIndex", node: Node, *,
 
     if recompute:
         recompute_non_tree_intervals(index)
-
-
-# ----------------------------------------------------------------------
-# local renumbering (Section 4.1, "What if empty numbers run out")
-# ----------------------------------------------------------------------
-def make_room(index: "IntervalTCIndex", parent: Node) -> None:
-    """Open one free postorder number under ``parent`` by a local shift.
-
-    The paper's procedure: starting from the parent's postorder number,
-    "find the first hole, suitably renumber all the intermediate numbers
-    ... make a scan over all the nodes of the graph [and] replace oldnum
-    by newnum" in the intervals.  Concretely: let ``h`` be the first
-    unused integer above the parent's number ``p``.  Every used number in
-    ``[p, h-1]`` shifts up by one, every interval end-point in that range
-    shifts with it (the shift is monotone, so interval structure is
-    preserved), and ``p`` itself becomes free — inside the parent's
-    (now stretched) tree interval, outside all children's intervals.  A
-    lower end-point equal to ``p`` stays, and one equal to ``h`` (a
-    reserved lo under ``gap >= 2``) moves with the shift.
-
-    Cost: O(shifted nodes + total intervals) — cheaper than a global
-    :func:`renumber` when the hole is nearby, and it never changes the
-    numbering stride.  The paper also allows searching *left* of the
-    parent; shifting right is always available because numbers are
-    unbounded above, so this implementation only goes right.
-    """
-    if parent is VIRTUAL_ROOT:
-        return  # the virtual root always has room above the maximum
-    obs = getattr(index, "_obs", None)
-    if obs is not None:
-        obs.counter("tc_make_room_total",
-                    help="local shifts to open one free number "
-                         "(Section 4.1)").inc()
-    index._invalidate()
-    parent_number = index.postorder[parent]
-    numbers = index.used_numbers
-    position = numbers.index(parent_number)
-    # First hole at or above parent_number + 1.
-    hole = parent_number + 1
-    for used in numbers[position + 1:]:
-        if used > hole:
-            break
-        hole = used + 1
-
-    def shifted(value: int) -> int:
-        return value + 1 if parent_number <= value < hole else value
-
-    def shifted_lo(value: int) -> int:
-        # A lower end-point equal to the parent's old number belongs to an
-        # interval that covered the parent — its holder reaches the parent
-        # and therefore must also cover the freed slot (the future child),
-        # so it stays put.  One equal to the hole (a reserved lo under
-        # gap >= 2) moves, or it would cover the number shifted into it.
-        return value + 1 if parent_number < value <= hole else value
-
-    # Re-point every per-node table through the shift.
-    new_postorder = {node: shifted(number)
-                     for node, number in index.postorder.items()}
-    index.postorder = new_postorder
-    index.node_of_number = {number: node for node, number in new_postorder.items()}
-    index.used_numbers = sorted(index.node_of_number)
-    index.tree_interval = {
-        node: Interval(shifted_lo(interval.lo), shifted(interval.hi))
-        for node, interval in index.tree_interval.items()
-    }
-    for node, interval_set in list(index.intervals.items()):
-        index.intervals[node] = IntervalSet(
-            Interval(shifted_lo(lo), shifted(hi)) for lo, hi in interval_set)
 
 
 # ----------------------------------------------------------------------

@@ -74,8 +74,7 @@ def _build_interval(graph, *, gap, **kwargs):
 
 
 #: Build options that configure inserts, which a snapshot never takes.
-_UPDATE_ONLY_OPTIONS = frozenset(
-    {"numbering", "auto_renumber", "renumber_strategy"})
+_UPDATE_ONLY_OPTIONS = frozenset({"numbering", "auto_renumber"})
 
 
 def _build_frozen(graph, *, gap, merge=False, **kwargs):

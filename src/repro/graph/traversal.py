@@ -4,7 +4,6 @@ These are the primitive walks used throughout the library:
 
 * Alg1 (optimal tree cover) scans nodes *in topological order*;
 * interval propagation scans nodes *in reverse topological order*;
-* the postorder numbering walks the spanning tree depth-first;
 * the :mod:`repro.baselines.pointer_chasing` baseline answers reachability
   queries with the plain DFS implemented here.
 
@@ -15,7 +14,7 @@ do not hit Python's recursion limit.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Set
+from typing import Dict, Iterator, List, Optional, Set
 
 from repro.errors import CycleError, NodeNotFoundError
 from repro.graph.digraph import DiGraph, Node
@@ -112,26 +111,6 @@ def dfs_preorder(graph: DiGraph, start: Node) -> Iterator[Node]:
                 stack.append(successor)
 
 
-def dfs_postorder(graph: DiGraph, start: Node) -> Iterator[Node]:
-    """Depth-first postorder from ``start`` (each node yielded once)."""
-    if start not in graph:
-        raise NodeNotFoundError(start)
-    seen: Set[Node] = {start}
-    stack: List[tuple] = [(start, iter(graph.successors(start)))]
-    while stack:
-        node, successors = stack[-1]
-        advanced = False
-        for successor in successors:
-            if successor not in seen:
-                seen.add(successor)
-                stack.append((successor, iter(graph.successors(successor))))
-                advanced = True
-                break
-        if not advanced:
-            stack.pop()
-            yield node
-
-
 def reachable_from(graph: DiGraph, start: Node, *, reflexive: bool = True) -> Set[Node]:
     """The *successor list* of ``start`` by pointer chasing (plain DFS).
 
@@ -184,51 +163,3 @@ def ancestors_of(graph: DiGraph, node: Node, *, reflexive: bool = True) -> Set[N
     if not reflexive:
         reached.discard(node)
     return reached
-
-
-def bfs_layers(graph: DiGraph, start: Node) -> Iterator[List[Node]]:
-    """Yield nodes reachable from ``start`` grouped by BFS distance."""
-    if start not in graph:
-        raise NodeNotFoundError(start)
-    seen: Set[Node] = {start}
-    layer = [start]
-    while layer:
-        yield layer
-        next_layer: List[Node] = []
-        for node in layer:
-            for successor in graph.successors(node):
-                if successor not in seen:
-                    seen.add(successor)
-                    next_layer.append(successor)
-        layer = next_layer
-
-
-def tree_postorder(
-    children: Dict[Node, List[Node]],
-    root: Node,
-    *,
-    child_order: Optional[Callable[[Iterable[Node]], List[Node]]] = None,
-) -> Iterator[Node]:
-    """Postorder walk of an explicit tree given as a children map.
-
-    ``children`` maps each node to the list of its tree children; missing
-    keys are treated as leaves.  ``child_order`` optionally re-orders the
-    children of every node before descent (the postorder numbering of the
-    compressed closure uses this hook to stay deterministic).
-    """
-    order = child_order if child_order is not None else list
-    stack: List[tuple] = [(root, iter(order(children.get(root, [])))) ]
-    seen: Set[Node] = {root}
-    while stack:
-        node, kids = stack[-1]
-        advanced = False
-        for child in kids:
-            if child in seen:
-                raise CycleError(f"tree children map revisits node {child!r}")
-            seen.add(child)
-            stack.append((child, iter(order(children.get(child, [])))))
-            advanced = True
-            break
-        if not advanced:
-            stack.pop()
-            yield node

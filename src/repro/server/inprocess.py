@@ -315,12 +315,6 @@ class ServerBackedEngine:
     def stats(self) -> dict:
         return self._thread.call("stats")
 
-    def node_count(self) -> int:
-        """The served node count.  There is deliberately no ``nodes()``:
-        the protocol has no node-listing op, and returning the ``stats``
-        count from a method whose name promises a list is a trap."""
-        return int(self._thread.call("stats")["nodes"])
-
     def __contains__(self, node: Any) -> bool:
         # Membership via a reflexive self-check: present nodes always
         # reach themselves; absent ones draw not-found.

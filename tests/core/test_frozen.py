@@ -462,8 +462,7 @@ class TestDirectBuild:
 
     @pytest.mark.parametrize("option", [
         pytest.param({"numbering": "fractional"}, id="numbering"),
-        pytest.param({"auto_renumber": False}, id="auto-renumber"),
-        pytest.param({"renumber_strategy": "local"}, id="renumber-strategy")])
+        pytest.param({"auto_renumber": False}, id="auto-renumber")])
     def test_update_only_options_raise(self, option):
         """These options configure inserts, which a snapshot never
         takes."""

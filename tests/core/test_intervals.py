@@ -6,7 +6,6 @@ from repro.core.intervals import (
     Interval,
     IntervalSet,
     intervals_from_points,
-    make_interval,
 )
 from repro.errors import ReproError
 
@@ -43,11 +42,6 @@ class TestInterval:
     def test_width(self):
         assert Interval(4, 4).width == 1
         assert Interval(1, 10).width == 10
-
-    def test_make_interval_validation(self):
-        assert make_interval(2, 2) == Interval(2, 2)
-        with pytest.raises(ReproError):
-            make_interval(5, 4)
 
 
 class TestIntervalSetAdd:
@@ -144,14 +138,6 @@ class TestIntervalSetQueries:
         clone = original.copy()
         clone.add(Interval(10, 11))
         assert len(original) == 1 and len(clone) == 2
-
-    def test_total_covered_span(self):
-        interval_set = IntervalSet([Interval(1, 5), Interval(3, 8), Interval(10, 10)])
-        assert interval_set.total_covered_span() == 9  # 1..8 plus 10
-
-    def test_covered_points(self):
-        interval_set = IntervalSet([Interval(2, 4)])
-        assert interval_set.covered_points(range(6)) == [2, 3, 4]
 
 
 class TestMerging:

@@ -8,16 +8,13 @@ from repro.graph.digraph import DiGraph
 from repro.graph.generators import random_dag
 from repro.graph.traversal import (
     ancestors_of,
-    bfs_layers,
     can_reach,
-    dfs_postorder,
     dfs_preorder,
     find_cycle,
     is_acyclic,
     reachable_from,
     reverse_topological_order,
     topological_order,
-    tree_postorder,
 )
 
 
@@ -77,19 +74,9 @@ class TestDFS:
         assert walk[0] == "a"
         assert set(walk) == set(paper_dag.nodes())
 
-    def test_postorder_parent_after_children(self, chain5):
-        assert list(dfs_postorder(chain5, 0)) == [4, 3, 2, 1, 0]
-
-    def test_postorder_visits_once(self, diamond):
-        walk = list(dfs_postorder(diamond, "a"))
-        assert sorted(walk) == ["a", "b", "c", "d"]
-        assert walk[-1] == "a"
-
     def test_unknown_start(self, diamond):
         with pytest.raises(NodeNotFoundError):
             list(dfs_preorder(diamond, "ghost"))
-        with pytest.raises(NodeNotFoundError):
-            list(dfs_postorder(diamond, "ghost"))
 
 
 class TestReachability:
@@ -124,35 +111,3 @@ class TestReachability:
         reached = reachable_from(graph, source)
         for destination in nodes[:10]:
             assert can_reach(graph, source, destination) == (destination in reached)
-
-
-class TestBFSLayers:
-    def test_layers_of_chain(self, chain5):
-        layers = list(bfs_layers(chain5, 0))
-        assert layers == [[0], [1], [2], [3], [4]]
-
-    def test_layer_zero_is_start(self, diamond):
-        layers = list(bfs_layers(diamond, "a"))
-        assert layers[0] == ["a"]
-        assert set(layers[1]) == {"b", "c"}
-        assert layers[2] == ["d"]
-
-    def test_unknown_start(self, diamond):
-        with pytest.raises(NodeNotFoundError):
-            list(bfs_layers(diamond, "ghost"))
-
-
-class TestTreePostorder:
-    def test_simple_tree(self):
-        children = {"r": ["a", "b"], "a": ["c"]}
-        assert list(tree_postorder(children, "r")) == ["c", "a", "b", "r"]
-
-    def test_child_order_hook(self):
-        children = {"r": ["b", "a"]}
-        walk = list(tree_postorder(children, "r", child_order=sorted))
-        assert walk == ["a", "b", "r"]
-
-    def test_revisit_raises(self):
-        children = {"r": ["a", "a"]}
-        with pytest.raises(CycleError):
-            list(tree_postorder(children, "r"))
