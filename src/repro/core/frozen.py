@@ -23,15 +23,20 @@ oracles use for speed:
   gather the rows' runs in one numpy pass and decode them into nodes
   (:meth:`FrozenTCIndex._gather`, :meth:`FrozenTCIndex._decode`);
 * all rows live in three flat arrays — ``offsets`` (CSR row starts) plus
-  ``lo``/``hi`` rank arrays — so ``reachable(u, v)`` is two array reads
-  and one :func:`bisect.bisect_right` on a flat buffer;
+  ``lo``/``hi`` rank arrays — so ``reachable(u, v)`` is two label probes,
+  two offset reads, one :func:`bisect.bisect_right` over the row and one
+  ``hi`` read.  Scalar reads go through memoryviews of the arrays
+  (:func:`_int_view`), which hand back Python ints: indexing the numpy
+  arrays makes a numpy scalar per read, and bisecting over them costs
+  about three times as much;
 * a **reverse interval index** (every interval sorted by ``lo``, with a
   prefix-max-``hi`` sweep array) answers the stabbing query "which rows
   cover rank q" in O(log m + scanned) — ``predecessors``,
   ``reaching_set`` and ``are_disjoint`` no longer scan every node.
 
 The buffers are numpy arrays, so the batch APIs (:meth:`reachable_many`,
-…) run vectorised.
+…) run vectorised; :meth:`reachable_many` searches its keys in ascending
+order, so each probe of the keyed buffer starts where the last one ended.
 
 A frozen view is a snapshot: it keeps a reference to its source index and
 the index's epoch counter at freeze time, and raises
@@ -55,7 +60,7 @@ Typical use::
 
     index = IntervalTCIndex.build(graph)
     frozen = index.freeze()
-    frozen.reachable("a", "c")               # two reads + one bisect
+    frozen.reachable("a", "c")               # probes + one bisect
     frozen.reachable_many(pairs)             # vectorised batch
     frozen.predecessors("c")                 # reverse index, no full scan
 
@@ -97,6 +102,17 @@ def _numpy():
 #: runs (measured on synthetic rows of 1-1000 runs of width 1-1000).
 _EXPAND_MIN_RUNS = 48
 _EXPAND_MAX_WIDTH = 4
+
+
+def _int_view(array) -> memoryview:
+    """``array`` as a ``memoryview`` whose items read as Python ints.
+
+    Point queries index and bisect these instead of the numpy arrays.
+    The view shares the array's memory; only a non-native byte order
+    (a little-endian file on a big-endian host) takes a copy.
+    """
+    return memoryview(array.astype(array.dtype.newbyteorder("="),
+                                   copy=False))
 
 
 def _rank_keys_fit_int32(num_nodes: int) -> bool:
@@ -317,6 +333,13 @@ class FrozenTCIndex(EngineBase):
         self._rev_maxhi = (np.maximum.accumulate(self._rev_hi)
                            if len(order) else self._rev_hi)
         self._lut = self._build_lut()
+        self._make_views()
+
+    def _make_views(self) -> None:
+        """The :func:`_int_view` of each array a scalar read touches."""
+        self._off_v = _int_view(self._off)
+        self._lo_v = _int_view(self._lo)
+        self._hi_v = _int_view(self._hi)
 
     def _build_lut(self):
         """A label -> id lookup table when labels are small non-negative ints.
@@ -373,7 +396,11 @@ class FrozenTCIndex(EngineBase):
         return self.lag() != 0
 
     def _check_fresh(self) -> None:
-        if self.is_stale():
+        """Raise once a strict view's source has moved on.  A view with no
+        source (detached, loaded, mapped or built by :meth:`from_graph`)
+        passes on one attribute read."""
+        source = self._source
+        if source is not None and source.epoch != self._source_epoch:
             raise IndexStateError(
                 "frozen view is stale: the source index was updated after "
                 "freeze(); call freeze() again for a fresh view")
@@ -403,26 +430,24 @@ class FrozenTCIndex(EngineBase):
     def _runs(self, node: Node) -> List[Tuple[int, int]]:
         """``node``'s row as ``(lo, hi)`` rank pairs."""
         sid = self._id(node)
-        start, stop = int(self._off[sid]), int(self._off[sid + 1])
-        return list(zip(self._lo[start:stop].tolist(),
-                        self._hi[start:stop].tolist()))
-
-    def _covers(self, sid: int, rank: int) -> bool:
-        start = int(self._off[sid])
-        stop = int(self._off[sid + 1])
-        position = bisect_right(self._lo, rank, start, stop)
-        return position > start and self._hi[position - 1] >= rank
+        start, stop = self._off_v[sid], self._off_v[sid + 1]
+        return list(zip(self._lo_v[start:stop], self._hi_v[start:stop]))
 
     @instrumented("reachable")
     def reachable(self, source: Node, destination: Node) -> bool:
         """Whether ``source`` reaches ``destination`` (reflexive).
 
-        Two array reads (the CSR row bounds) plus one ``bisect`` on the
-        flat ``lo`` buffer.
+        Two label probes, two reads of the CSR row bounds, one
+        ``bisect`` over the row in the flat ``lo`` buffer and one ``hi``
+        read, all on Python ints through the typed views.
         """
-        self._check_fresh()
+        if self._source is not None:
+            self._check_fresh()
         sid = self._id(source)
-        covered = self._covers(sid, self._id(destination))
+        rank = self._id(destination)
+        start = self._off_v[sid]
+        position = bisect_right(self._lo_v, rank, start, self._off_v[sid + 1])
+        covered = position > start and self._hi_v[position - 1] >= rank
         tracer = self._tracer
         if tracer is not None and tracer.current() is not None:
             tracer.annotate("hit", "interval" if covered else "miss")
@@ -447,7 +472,7 @@ class FrozenTCIndex(EngineBase):
         plus an ``arange`` indexes every run at once.
         """
         if len(ids) == 1:
-            start, stop = self._off[ids[0]:ids[0] + 2].tolist()
+            start, stop = self._off_v[ids[0]], self._off_v[ids[0] + 1]
             return self._lo[start:stop], self._hi[start:stop]
         np = _numpy()
         rows = np.array(ids, dtype=np.int64)
@@ -490,9 +515,9 @@ class FrozenTCIndex(EngineBase):
         self._check_fresh()
         sid = self._id(source)
         nodes = self._nodes
-        for position in range(int(self._off[sid]), int(self._off[sid + 1])):
-            for rank in range(int(self._lo[position]),
-                              int(self._hi[position]) + 1):
+        start, stop = self._off_v[sid], self._off_v[sid + 1]
+        for low, high in zip(self._lo_v[start:stop], self._hi_v[start:stop]):
+            for rank in range(low, high + 1):
                 node = nodes[rank]
                 if not reflexive and node == source:
                     continue
@@ -503,7 +528,7 @@ class FrozenTCIndex(EngineBase):
         """Successor count straight off the run widths — no set built."""
         self._check_fresh()
         sid = self._id(source)
-        start, stop = int(self._off[sid]), int(self._off[sid + 1])
+        start, stop = self._off_v[sid], self._off_v[sid + 1]
         total = int((self._hi[start:stop] - self._lo[start:stop] + 1).sum())
         return total if reflexive else total - 1
 
@@ -546,18 +571,19 @@ class FrozenTCIndex(EngineBase):
     def reachable_many(self, pairs: Iterable[Tuple[Node, Node]]) -> List[bool]:
         """Vectorised :meth:`reachable` over ``(source, destination)`` pairs.
 
-        Every pair becomes one key ``sid * n + dest_rank`` and a single
+        Every pair becomes one key ``sid * n + dest_rank``, and a single
         ``searchsorted`` over the row-keyed ``lo`` buffer answers the whole
-        batch.
+        batch.  The pairs are answered in ascending key order and the
+        answers scattered back to input order: each probe of the keyed
+        buffer then starts from the last one's position, and the
+        ``off``/``hi`` reads ascend too, so a batch walks the buffers front
+        to back instead of touching a cold cache line per key.
         """
         self._check_fresh()
         pair_list = pairs if isinstance(pairs, list) else list(pairs)
         if not pair_list:
             return []
         np = _numpy()
-        if self._lo_keyed.size == 0:  # hand-built buffers with empty rows
-            return [self._covers(self._id(source), self._id(destination))
-                    for source, destination in pair_list]
         count = len(pair_list)
         ids = self._ids_table(pair_list, count)
         if ids is None:
@@ -568,14 +594,20 @@ class FrozenTCIndex(EngineBase):
                     dtype=np.int64, count=2 * count).reshape(count, 2)
             except KeyError as missing:
                 raise NodeNotFoundError(missing.args[0]) from None
-        source_ids = ids[:, 0]
-        dest_ranks = ids[:, 1]
-        keys = (source_ids.astype(np.int64) * len(self._nodes) + dest_ranks)
-        positions = np.searchsorted(self._lo_keyed, keys.astype(self._dtype),
-                                    side="right")
-        inside_row = positions > self._off[source_ids]
-        hits = inside_row & (self._hi[np.where(inside_row, positions - 1, 0)]
-                             >= dest_ranks)
+        if self._lo_keyed.size == 0:  # every row is empty: nothing covered
+            return [False] * count
+        keys = ids[:, 0] * len(self) + ids[:, 1]
+        order = keys.argsort()
+        source_ids = ids[order, 0]
+        dest_ranks = ids[order, 1]
+        positions = self._lo_keyed.searchsorted(
+            keys[order].astype(self._dtype), "right")
+        # A key below its row's first run has position - 1 outside the
+        # row (-1 reads the last run): the row test masks that read out.
+        covered = ((positions > self._off[source_ids])
+                   & (self._hi[positions - 1] >= dest_ranks))
+        hits = np.empty(count, dtype=bool)
+        hits[order] = covered
         return hits.tolist()
 
     def _ids_table(self, pair_list, count: int):
@@ -657,12 +689,13 @@ class FrozenTCIndex(EngineBase):
         self._check_fresh()
         first_id = self._id(first)
         second_id = self._id(second)
-        i, i_stop = int(self._off[first_id]), int(self._off[first_id + 1])
-        j, j_stop = int(self._off[second_id]), int(self._off[second_id + 1])
+        off, lo, hi = self._off_v, self._lo_v, self._hi_v
+        i, i_stop = off[first_id], off[first_id + 1]
+        j, j_stop = off[second_id], off[second_id + 1]
         while i < i_stop and j < j_stop:
-            if self._hi[i] < self._lo[j]:
+            if hi[i] < lo[j]:
                 i += 1
-            elif self._hi[j] < self._lo[i]:
+            elif hi[j] < lo[i]:
                 j += 1
             else:
                 return False

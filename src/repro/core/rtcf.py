@@ -68,10 +68,12 @@ import os
 import struct
 import sys
 import zlib
+from functools import cached_property
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.core.frozen import FrozenTCIndex, _numpy, _rank_keys_fit_int32
+from repro.core.frozen import (FrozenTCIndex, _int_view, _numpy,
+                               _rank_keys_fit_int32)
 from repro.durability.atomic import RealFS, atomic_write_bytes
 from repro.errors import CorruptFileError, NodeNotFoundError
 from repro.graph.digraph import Node
@@ -523,6 +525,8 @@ class MappedFrozenTCIndex(FrozenTCIndex):
         self._rev_maxhi = _np_section(np, mm, header, SEC_REVMAXHI)
         self._lut = (_np_section(np, mm, header, SEC_LUT)
                      if header.flags & FLAG_HAS_LUT else None)
+        self._make_views()
+        self._lut_v = None if self._lut is None else _int_view(self._lut)
         if header.flags & FLAG_INT_LABELS:
             self._labels_array = _np_section(np, mm, header, SEC_LABELS)
             self._labels_json: Optional[list] = None
@@ -531,41 +535,46 @@ class MappedFrozenTCIndex(FrozenTCIndex):
             self._labels_json = labels_blob_nodes
 
     # -- lazy Python-object tables -------------------------------------
-    def __getattr__(self, name):
-        if name == "_nodes":
-            if self._labels_array is not None:
-                nodes = self._labels_array.tolist()
-            else:
-                nodes = list(self._labels_json)
-            self._nodes = nodes
-            return nodes
-        if name == "_id_of":
-            id_of = {node: rank for rank, node in enumerate(self._nodes)}
-            if len(id_of) != self._num_nodes:
-                raise CorruptFileError(
-                    self._path, "duplicate node labels in label section")
-            self._id_of = id_of
-            return id_of
-        raise AttributeError(name)
+    # Cached properties, not a ``__getattr__`` hook: a class with one
+    # routes every attribute read through it, which made each of a point
+    # query's dozen ``self.`` reads slower.
+    @cached_property
+    def _nodes(self) -> List[Node]:
+        if self._labels_array is not None:
+            return self._labels_array.tolist()
+        return list(self._labels_json)
+
+    @cached_property
+    def _id_of(self) -> Dict[Node, int]:
+        id_of = {node: rank for rank, node in enumerate(self._nodes)}
+        if len(id_of) != self._num_nodes:
+            raise CorruptFileError(
+                self._path, "duplicate node labels in label section")
+        return id_of
 
     def __len__(self) -> int:
         return self._num_nodes
 
     def __contains__(self, node: Node) -> bool:
-        table = self._lut
+        table = self._lut_v
         if table is not None and type(node) is int:
-            return 0 <= node < table.size and int(table[node]) >= 0
-        return super().__contains__(node)
+            return 0 <= node < len(table) and table[node] >= 0
+        return node in self._id_of
 
     def _id(self, node: Node) -> int:
-        table = self._lut
-        if table is not None and type(node) is int:
-            if 0 <= node < table.size:
-                rank = int(table[node])
-                if rank >= 0:
-                    return rank
-            raise NodeNotFoundError(node)
-        return super()._id(node)
+        """Int labels read the lookup table's view, when the file has
+        one; every other label is one probe of the label dict."""
+        table = self._lut_v
+        if table is None or type(node) is not int:
+            try:
+                return self._id_of[node]
+            except KeyError:
+                raise NodeNotFoundError(node) from None
+        if 0 <= node < len(table):
+            rank = table[node]
+            if rank >= 0:
+                return rank
+        raise NodeNotFoundError(node)
 
     @property
     def path(self) -> str:

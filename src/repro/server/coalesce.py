@@ -67,10 +67,15 @@ def _member(engine, node) -> bool:
 
 #: Drain-now threshold, total pairs across pending groups.
 DEFAULT_MAX_BATCH = 512
-#: Below this many pairs a drain answers with scalar lookups: the
-#: vectorised ``reachable_many`` carries ~13µs of fixed array-building
-#: cost, which singles at ~1.3µs/pair undercut until roughly ten pairs.
-SCALAR_CUTOFF = 10
+#: Below this many pairs a drain answers with scalar lookups.  On a
+#: mapped RTCF of ``random_dag(10000, 3.0)`` with string labels (2-CPU
+#: box, best of 15 repeats), singles take ~1.2 us per pair and
+#: ``reachable_many`` ~10 us fixed plus ~0.2 us per pair; singles
+#: against batch read 12.5 against 12.8 us at 10 pairs and 16.6
+#: against 13.4 us at 14.  Int labels that read the lookup table cross
+#: later (~15 us fixed; 14.7 against 18.5 us at 16 pairs, 19.1 against
+#: 18.2 us at 20).
+SCALAR_CUTOFF = 12
 
 
 class CheckGroup:

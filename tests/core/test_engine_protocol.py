@@ -9,6 +9,7 @@ disabled registry stays empty).
 """
 
 import inspect
+import json
 
 import pytest
 
@@ -184,6 +185,16 @@ class TestSemantics:
         finally:
             if hasattr(int_engine, "close"):
                 int_engine.close()
+
+    def test_answers_are_python_bools(self, engine):
+        """Not ``numpy.bool``: the answers must survive ``json.dumps``."""
+        nodes = sorted(engine.nodes(), key=str)
+        pairs = [(s, d) for s in nodes for d in nodes]
+        singles = [engine.reachable(s, d) for s, d in pairs]
+        assert {type(answer) for answer in singles} == {bool}
+        assert {type(answer) for answer in engine.reachable_many(pairs)} \
+            == {bool}
+        assert json.dumps(engine.reachable("a", "c")) == "true"
 
     def test_set_semijoins(self, engine):
         assert engine.reachable_from_set(["b", "e"]) == (

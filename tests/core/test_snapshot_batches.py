@@ -1,11 +1,14 @@
-"""The snapshot engines' set and batch paths over string labels.
+"""The snapshot engines' point, set and batch paths over string labels.
 
 ``FrozenTCIndex`` (and its mmap'd RTCF subclass) answer ``successors``,
 ``reachable_from_set`` and ``any_reachable`` from one gather of the
 rows' runs, and intern a ``reachable_many`` batch of labels that are not
 small ints in one pass over the label dict.  The fuzzer draws int
 labels, so these tests pin the string-label path; ``ChainCoverIndex``'s
-inline ``reachable_many`` is checked alongside.
+inline ``reachable_many`` is checked alongside.  The scalar path is
+pinned too: unknown labels (string, and int labels around the lookup
+table), the freshness guard of strict views, and a batch searched in
+key order but answered in input order.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import pytest
 from repro.core import frozen as frozen_module
 from repro.core.chain_cover import ChainCoverIndex
 from repro.core.engine import EngineBase
+from repro.core.frozen import FrozenTCIndex
 from repro.core.index import IntervalTCIndex
 from repro.core.rtcf import load_rtcf, save_rtcf
 from repro.errors import IndexStateError, NodeNotFoundError
@@ -124,6 +128,23 @@ class TestOracleParity:
                             [node], [nodes[outside]]) == \
                             oracle.reachable(node, nodes[outside])
 
+    def test_reachable_many_in_descending_key_order(self, snapshot, oracle):
+        """The batch is searched in ascending key order; the answers must
+        still come back in input order, repeated pairs included."""
+        nodes = oracle.nodes()
+        rng = random.Random(23)
+        pairs = [(rng.choice(nodes), rng.choice(nodes)) for _ in range(300)]
+        pairs += [(node, node) for node in nodes[:20]]
+        pairs += [pairs[index] for index in range(0, 300, 7)]  # repeats
+        pairs.sort(key=lambda pair: (snapshot._id(pair[0]),
+                                     snapshot._id(pair[1])), reverse=True)
+        expected = [oracle.reachable(u, v) for u, v in pairs]
+        assert set(expected) == {True, False}
+        assert snapshot.reachable_many(pairs) == expected
+        assert snapshot.reachable_many(pairs) == \
+            [snapshot.reachable(u, v) for u, v in pairs]
+        assert compare_engine("snapshot", snapshot, oracle) > 0
+
     def test_reachable_many_all_pairs(self, snapshot, oracle):
         nodes = oracle.nodes()[:120]
         pairs = [(u, v) for u in nodes for v in nodes]
@@ -147,6 +168,14 @@ class TestUnknownLabels:
         assert caught.value.node == "missing-label"
         assert "missing-label" in str(caught.value)
 
+    def test_reachable_names_the_unknown_label(self, snapshot, oracle):
+        known = oracle.nodes()[0]
+        for pair in (("missing-label", known), (known, "missing-label")):
+            with pytest.raises(NodeNotFoundError) as caught:
+                snapshot.reachable(*pair)
+            assert caught.value.node == "missing-label"
+            assert "missing-label" in str(caught.value)
+
     def test_set_paths_name_the_unknown_label(self, snapshot, oracle):
         nodes = oracle.nodes()
         for call in (lambda: snapshot.successors("missing-label"),
@@ -161,9 +190,77 @@ class TestUnknownLabels:
             assert caught.value.node == "missing-label"
 
 
+def gapped_int_graph() -> DiGraph:
+    """A random DAG on the labels 3k + 1, so the lookup table holds
+    unused slots between the labels."""
+    graph = random_dag(200, 3.0, 9)
+    return DiGraph(arcs=[(3 * u + 1, 3 * v + 1) for u, v in graph.arcs()],
+                   nodes=[3 * node + 1 for node in graph.nodes()])
+
+
+class TestUnknownIntLabels:
+    """Int labels read the lookup table on a mapped view and the label
+    dict in memory; both raise for a label the graph does not hold."""
+
+    @pytest.fixture(params=["frozen", "rtcf"])
+    def int_snapshot(self, request, tmp_path):
+        frozen = IntervalTCIndex.build(gapped_int_graph()).freeze()
+        if request.param == "frozen":
+            return frozen
+        path = str(tmp_path / "ints.rtcf")
+        save_rtcf(frozen, path)
+        mapped = load_rtcf(path)
+        assert mapped._lut is not None
+        return mapped
+
+    # Labels run 1, 4, ..., 598, so the table has 599 slots.  Negative
+    # labels -1 and -598 would wrap around to the slots of 598 and 1.
+    @pytest.mark.parametrize("label", [0, 2, 3, 597,  # unused, in range
+                                       599, 600, 10**6, 2**64,  # past end
+                                       -1, -2, -598])  # negative
+    def test_reachable_raises_for_the_label(self, int_snapshot, label):
+        assert label not in int_snapshot
+        for pair in ((label, 1), (1, label)):
+            with pytest.raises(NodeNotFoundError) as caught:
+                int_snapshot.reachable(*pair)
+            assert caught.value.node == label
+        with pytest.raises(NodeNotFoundError):
+            int_snapshot.reachable_many([(1, 4), (label, 1)])
+
+    def test_known_labels_answer(self, int_snapshot):
+        graph = gapped_int_graph()
+        oracle = SetClosureOracle(graph.arcs(), graph.nodes())
+        pairs = [(u, v) for u in oracle.nodes()[:40] for v in oracle.nodes()]
+        expected = [oracle.reachable(u, v) for u, v in pairs]
+        assert [int_snapshot.reachable(u, v) for u, v in pairs] == expected
+        assert int_snapshot.reachable_many(pairs) == expected
+
+
 class TestStaleView:
-    """A mapped RTCF view is always detached and never stale, so only the
-    in-memory view is checked."""
+    """Only a strict ``freeze()`` view can go stale: detached and mapped
+    views have no source and keep answering."""
+
+    def test_point_and_batch_checks(self, tmp_path):
+        graph = string_graph(120, seed=6)  # the index mutates its graph
+        index = IntervalTCIndex.build(graph)
+        strict = index.freeze()
+        detached = FrozenTCIndex.from_index(index).detach()
+        path = str(tmp_path / "pinned.rtcf")
+        save_rtcf(strict, path)
+        mapped = load_rtcf(path)
+        nodes = list(graph.nodes())
+        pairs = [(u, v) for u in nodes[:20] for v in nodes[:20]]
+        before = strict.reachable_many(pairs)
+        assert [strict.reachable(u, v) for u, v in pairs] == before
+        index.add_node("fresh", parents=[nodes[0]])
+        with pytest.raises(IndexStateError):
+            strict.reachable(nodes[0], nodes[1])
+        with pytest.raises(IndexStateError):
+            strict.reachable_many(pairs)
+        for view in (detached, mapped):
+            assert not view.is_stale()
+            assert view.reachable_many(pairs) == before
+            assert [view.reachable(u, v) for u, v in pairs] == before
 
     def test_set_paths_refuse_a_stale_view(self, graph):
         index = IntervalTCIndex.build(graph)
@@ -177,6 +274,18 @@ class TestStaleView:
                      lambda: frozen.reachable_many([(nodes[0], nodes[1])])):
             with pytest.raises(IndexStateError):
                 call()
+
+
+def test_reachable_many_over_empty_rows():
+    """Buffers whose rows are all empty cover nothing, yet a batch still
+    interns every label first."""
+    empty = FrozenTCIndex.from_buffers(nodes=["a", "b"], offsets=[0, 0, 0],
+                                       lows=[], highs=[])
+    assert empty.reachable_many([("a", "b"), ("b", "b")]) == [False, False]
+    assert empty.reachable("b", "b") is False
+    with pytest.raises(NodeNotFoundError) as caught:
+        empty.reachable_many([("a", "b"), ("a", "missing-label")])
+    assert caught.value.node == "missing-label"
 
 
 class TestDecode:
