@@ -19,11 +19,15 @@ Run as a script to (re)generate ``BENCH_build.json``::
     $ python benchmarks/bench_build.py --smoke    # CI-sized sanity run
 
 The direct frozen build — ``open_index(graph, engine="frozen")``, which
-propagates in rank space and never builds the mutable index — is timed
-end to end (tree cover included) as
+runs on integer node ids, propagates in rank space and never builds the
+mutable index — is timed end to end (tree cover included) as
 ``direct_build_seconds``, beside ``vectorized_total_seconds`` for the
 staged build plus freeze, and its RTCF bytes must equal the staged
-route's.
+route's.  ``edge_list_build_seconds`` times the same route from an
+edge-list file to a mapped RTCF (parse, build, RTCF write, ``mmap``
+open), with no ``DiGraph`` on the way; its RTCF bytes must equal the
+``DiGraph`` route's over the same file, in every run, ``--smoke``
+included.
 
 The propagation pass is timed in isolation (tree cover and postorder
 numbering are shared, identical work for both passes), which is the
@@ -53,6 +57,8 @@ from pathlib import Path
 from random import Random
 from typing import Callable, List, Optional
 
+import numpy  # noqa: F401  (imported here, not inside the first timed stage)
+
 from repro import open_index
 from repro.core.index import IntervalTCIndex
 from repro.core.labeling import assign_postorder, propagate_intervals
@@ -61,6 +67,7 @@ from repro.core.rtcf import load_rtcf, rtcf_bytes
 from repro.core.serialize import _load_frozen_index, save_frozen_index
 from repro.core.tree_cover import build_tree_cover
 from repro.graph.generators import random_dag
+from repro.graph.io import load_edge_list, save_edge_list
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 DEFAULT_OUTPUT = REPO_ROOT / "BENCH_build.json"
@@ -84,6 +91,29 @@ def _timed(workload: Callable[[], object]):
     started = time.perf_counter()
     result = workload()
     return result, time.perf_counter() - started
+
+
+def _edge_list_build(graph, workdir: str, *, policy: str, gap: int) -> float:
+    """Seconds from an edge-list file of ``graph`` to a mapped RTCF by
+    the direct route; raises unless its bytes equal the ``DiGraph``
+    route's over the same file."""
+    edges_path = os.path.join(workdir, "graph.edges")
+    rtcf_path = os.path.join(workdir, "edges.rtcf")
+    save_edge_list(graph, edges_path)
+
+    def build():
+        frozen = open_index(edges_path, engine="frozen", policy=policy,
+                            gap=gap)
+        save_frozen_index(frozen, rtcf_path, format="rtcf")
+        return load_rtcf(rtcf_path)
+    mapped, seconds = _timed(build)
+    mapped.close()
+    reference = open_index(load_edge_list(edges_path), engine="frozen",
+                           policy=policy, gap=gap)
+    if Path(rtcf_path).read_bytes() != rtcf_bytes(reference):
+        raise AssertionError("the edge-list route diverged from the "
+                             "DiGraph route")
+    return seconds
 
 
 def run_scale(*, nodes: int, degree: float, seed: int, pairs: int,
@@ -128,6 +158,9 @@ def run_scale(*, nodes: int, degree: float, seed: int, pairs: int,
     direct_digest = hashlib.sha256(rtcf_bytes(direct)).digest()
     del direct
     gc.collect()
+    edge_list_seconds = _edge_list_build(graph, workdir, policy=policy,
+                                         gap=gap)
+    gc.collect()
     vector_labeling = assign_postorder(cover, gap)
     _, vector_seconds = _timed(
         lambda: propagate_intervals_vectorized(graph, cover,
@@ -165,6 +198,8 @@ def run_scale(*, nodes: int, degree: float, seed: int, pairs: int,
             + total_build, 6),
         "direct_build_seconds": round(direct_seconds, 6),
         "direct_verified_identical": True,
+        "edge_list_build_seconds": round(edge_list_seconds, 6),
+        "edge_list_verified_identical": True,
     }
 
     json_path = os.path.join(workdir, "closure.json")
@@ -286,6 +321,7 @@ def test_bench_build_smoke(tmp_path):
                        repeats=2, workdir=str(tmp_path))
     assert result["build"]["propagation"]["verified_identical"]
     assert result["build"]["direct_verified_identical"]
+    assert result["build"]["edge_list_verified_identical"]
     assert result["cold_load"]["verified_identical"]
     # The >= 10x cold-load and >= 2x propagation bars are enforced on
     # the committed 100k-node BENCH_build.json; at smoke scale fixed

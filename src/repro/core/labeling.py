@@ -25,7 +25,7 @@ rely on this, and the property tests assert it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.errors import GraphError
 from repro.core.intervals import Interval, IntervalSet
@@ -98,6 +98,36 @@ def postorder_walk(cover: TreeCover, root: Node = VIRTUAL_ROOT
             visits.append(node)
             entries.append(counter_at_entry)
     return visits, entries
+
+
+def postorder_ranks(parent: Sequence[int]) -> Tuple[List[int], List[int]]:
+    """:func:`postorder_walk`'s numbering from a parent array, without a
+    walk: ``(rank, entry)``, node ``i``'s 0-based visit index and the
+    visits made before its subtree was entered.
+
+    ``parent`` is :func:`~repro.core.tree_cover.tree_parents`' array:
+    ids are topological positions, so a parent's id is below its
+    children's, ``-1`` is the virtual root, and siblings are visited in
+    id order, as the walk visits a cover's child lists.  Subtree sizes
+    come bottom-up, then each subtree's first rank top-down: a child's
+    subtree starts where its earlier siblings' subtrees end.  Node
+    ``i``'s rank-space tree interval is ``[entry[i], rank[i]]``.
+    """
+    n = len(parent)
+    size = [1] * n
+    for node in range(n - 1, -1, -1):
+        up = parent[node]
+        if up >= 0:
+            size[up] += size[node]
+    entry = [0] * n
+    # cursor[p] is the first free rank in p's subtree; slot n (index -1)
+    # is the virtual root's.
+    cursor = [0] * (n + 1)
+    for node, up in enumerate(parent):
+        first = cursor[up]
+        entry[node] = cursor[node] = first
+        cursor[up] = first + size[node]
+    return [first + count - 1 for first, count in zip(entry, size)], entry
 
 
 def check_gap(gap: int) -> None:

@@ -75,7 +75,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from repro.core.frozen import (FrozenTCIndex, _int_view, _numpy,
                                _rank_keys_fit_int32)
 from repro.durability.atomic import RealFS, atomic_write_bytes
-from repro.errors import CorruptFileError, NodeNotFoundError
+from repro.errors import CorruptFileError, IndexStateError, NodeNotFoundError
 from repro.graph.digraph import Node
 from repro.graph.io import decode_labels
 
@@ -582,17 +582,50 @@ class MappedFrozenTCIndex(FrozenTCIndex):
         return self._path
 
     def close(self) -> None:
-        """Release the mapping.  Queries after ``close()`` are invalid;
-        Python-level references to the arrays must be dropped first, so
-        this is best-effort (the map is unmapped at GC otherwise)."""
+        """Unmap the file.
+
+        Every section array and view holds an export on the map, which
+        keeps it open, so each is replaced first, with the label tables
+        decoded from them, by one :class:`_Unmapped` stand-in: any query
+        afterwards raises :class:`~repro.errors.IndexStateError` on its
+        first read, so no query pays a check for it.  An array the
+        caller still holds (from :meth:`to_buffers`, say) keeps the map
+        until it is released.
+        """
+        closed = _Unmapped(self._path)
+        for name in _MAPPED_ATTRIBUTES:
+            setattr(self, name, closed)
         try:
             self._mm.close()
-        except (BufferError, ValueError):  # pragma: no cover - refs alive
+        except BufferError:  # pragma: no cover - a caller's array is alive
             pass
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"MappedFrozenTCIndex(nodes={self._num_nodes}, "
                 f"intervals={self.num_intervals}, path={self._path!r})")
+
+
+#: What a mapped view holds that reads the map.
+_MAPPED_ATTRIBUTES = (
+    "_off", "_lo", "_hi", "_lo_keyed", "_rev_lo", "_rev_hi", "_rev_owner",
+    "_rev_maxhi", "_lut", "_off_v", "_lo_v", "_hi_v", "_lut_v",
+    "_labels_array", "_labels_json", "_nodes", "_id_of")
+
+
+class _Unmapped:
+    """What a closed :class:`MappedFrozenTCIndex` holds in place of its
+    arrays, views and label tables: every use raises."""
+
+    __slots__ = ("_path",)
+
+    def __init__(self, path: str) -> None:
+        self._path = path
+
+    def _closed(self, *args, **kwargs):
+        raise IndexStateError(f"RTCF snapshot {self._path!r} is closed")
+
+    __getattr__ = __getitem__ = __len__ = __iter__ = __bool__ = \
+        __contains__ = _closed
 
 
 def load_rtcf(path: PathLike, *, verify: bool = False) -> FrozenTCIndex:

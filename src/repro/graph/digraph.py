@@ -67,10 +67,16 @@ class DiGraph:
         """
         if source == destination:
             raise GraphError(f"self-loop ({source!r}, {source!r}) is not allowed")
-        self.add_node(source)
-        self.add_node(destination)
-        if destination not in self._succ[source]:
-            self._succ[source][destination] = None
+        succ = self._succ
+        successors = succ.get(source)
+        if successors is None:
+            successors = succ[source] = {}
+            self._pred[source] = {}
+        if destination not in succ:
+            succ[destination] = {}
+            self._pred[destination] = {}
+        if destination not in successors:
+            successors[destination] = None
             self._pred[destination][source] = None
             self._num_arcs += 1
 

@@ -27,7 +27,7 @@ from repro.errors import (CycleError, GraphError, IndexStateError,
                           NodeNotFoundError, ReproError)
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import random_dag
-from repro.graph.io import load_edge_list
+from repro.graph.io import load_edge_list, loads_edge_list
 from repro.testing.oracle import build_reference_index
 
 @pytest.fixture
@@ -417,6 +417,26 @@ def direct_graphs():
     yield "empty", DiGraph()
     yield "single", DiGraph(nodes=["only"])
     yield "isolated", DiGraph(arcs=[(1, 2), (2, 3)], nodes=[7, 0, 9])
+    # One node per level: every level takes the scalar merge.
+    yield "deep-chain", DiGraph(arcs=[(i, i + 1) for i in range(300)])
+    yield "repeats-isolated", loads_edge_list(REPEATS_TEXT)
+
+
+#: An edge list that repeats arcs and declares isolated nodes before and
+#: after their arcs, and one that is never mentioned in an arc.
+REPEATS_TEXT = """\
+lone
+c d
+a b
+b c
+a b
+d
+a c
+c d
+b c
+e
+lone
+"""
 
 
 class TestDirectBuild:
@@ -459,6 +479,74 @@ class TestDirectBuild:
         frozen = direct_build(str(path), monkeypatch, policy="first_parent")
         assert rtcf_bytes(frozen) == staged_bytes(load_edge_list(str(path)),
                                                   policy="first_parent")
+
+    @pytest.mark.parametrize("policy", ["alg1", "first_parent", "random"])
+    def test_edge_list_source_builds_no_digraph(self, monkeypatch, tmp_path,
+                                                policy):
+        """The edge-list route runs on integer ids from the parser on."""
+        graph = random_dag(80, 2.0, random.Random(9))
+        path = tmp_path / "graph.edges"
+        path.write_text(REPEATS_TEXT + "".join(
+            f"n{s} n{d}\n" for s, d in graph.arcs()))
+        expected = staged_bytes(load_edge_list(str(path)), policy=policy,
+                                rng=3)
+
+        def refuse(*args):
+            raise AssertionError("the edge-list route built a DiGraph")
+        with monkeypatch.context() as patch:
+            patch.setattr(DiGraph, "add_arc", refuse)
+            frozen = direct_build(str(path), monkeypatch, policy=policy,
+                                  rng=3)
+        assert rtcf_bytes(frozen) == expected
+
+    def test_edge_list_source_merge_ordering(self, monkeypatch, tmp_path):
+        path = tmp_path / "graph.edges"
+        path.write_text(REPEATS_TEXT)
+        frozen = direct_build(str(path), monkeypatch, merge_ordering=True)
+        assert rtcf_bytes(frozen) == staged_bytes(
+            load_edge_list(str(path)), merge_ordering=True)
+
+    @pytest.mark.parametrize("text, error", [
+        pytest.param("a b\nb c\nx y z\nc d\n", "line 3", id="3-tokens"),
+        pytest.param("a b\nb b\nx y z\n", "self-loop", id="self-loop"),
+        pytest.param("a b\n\nx y z\nc c\n", "line 3",
+                     id="3-tokens-first")])
+    def test_edge_list_errors_match_load_edge_list(self, tmp_path, text,
+                                                   error):
+        path = tmp_path / "bad.edges"
+        path.write_text(text)
+        with pytest.raises(GraphError, match=error) as expected:
+            load_edge_list(str(path))
+        with pytest.raises(GraphError) as direct:
+            open_index(str(path), engine="frozen")
+        assert str(direct.value) == str(expected.value)
+
+    def test_edge_list_cycle_matches_the_staged_route(self, monkeypatch,
+                                                      tmp_path):
+        path = tmp_path / "cyclic.edges"
+        path.write_text("s a\na b\nb c\nc d\nd b\nc a\n")
+        with pytest.raises(CycleError) as staged:
+            IntervalTCIndex.build(load_edge_list(str(path)))
+        with pytest.raises(CycleError) as direct:
+            direct_build(str(path), monkeypatch)
+        assert direct.value.cycle == staged.value.cycle
+        assert str(direct.value) == str(staged.value)
+
+    def test_comments_blanks_and_crlf_change_nothing(self, monkeypatch,
+                                                     tmp_path):
+        graph = random_dag(60, 2.0, random.Random(12))
+        lines = [f"n{s} n{d}" for s, d in graph.arcs()]
+        clean = tmp_path / "clean.edges"
+        clean.write_text("\n".join(lines) + "\n")
+        noisy = tmp_path / "noisy.edges"
+        noisy.write_bytes("\r\n".join(
+            ["# a comment", ""] + [f"  {line}\t# note" for line in lines]
+            + ["", "   "]).encode())
+        expected = staged_bytes(load_edge_list(str(clean)))
+        assert staged_bytes(load_edge_list(str(noisy))) == expected
+        for path in (clean, noisy):
+            assert rtcf_bytes(direct_build(str(path), monkeypatch)) \
+                == expected
 
     @pytest.mark.parametrize("option", [
         pytest.param({"numbering": "fractional"}, id="numbering"),

@@ -200,6 +200,45 @@ class TestMappedView:
         second = load_rtcf(path)
         second.close()
 
+    @pytest.mark.parametrize("graph_factory", [small_graph, int_graph])
+    def test_close_unmaps_the_file(self, tmp_path, graph_factory):
+        """``close`` drops every array and view into the map, so the map
+        really closes, even after queries built the label tables."""
+        graph = graph_factory()
+        path, _ = saved(tmp_path, graph)
+        mapped = load_rtcf(path)
+        nodes = sorted(graph.nodes(), key=repr)
+        assert mapped.reachable(nodes[0], nodes[0])
+        assert mapped.successors(nodes[0])
+        assert mapped.reachable_many([(nodes[0], nodes[-1])])
+        mapped.close()
+        assert mapped._mm.closed
+        mapped.close()  # closing twice is harmless
+
+    @pytest.mark.parametrize("query", [
+        pytest.param(lambda engine, node: engine.reachable(node, node),
+                     id="reachable"),
+        pytest.param(lambda engine, node: engine.reachable_many(
+            [(node, node)]), id="reachable_many"),
+        pytest.param(lambda engine, node: engine.successors(node),
+                     id="successors"),
+        pytest.param(lambda engine, node: engine.predecessors(node),
+                     id="predecessors"),
+        pytest.param(lambda engine, node: engine.reachable_from_set([node]),
+                     id="reachable_from_set"),
+        pytest.param(lambda engine, node: node in engine, id="contains")])
+    @pytest.mark.parametrize("graph_factory", [small_graph, int_graph])
+    def test_queries_after_close_raise(self, tmp_path, graph_factory,
+                                       query):
+        graph = graph_factory()
+        path, _ = saved(tmp_path, graph)
+        mapped = load_rtcf(path)
+        node = next(iter(graph.nodes()))
+        query(mapped, node)
+        mapped.close()
+        with pytest.raises(IndexStateError, match="closed"):
+            query(mapped, node)
+
 
 def oracle_of(index: IntervalTCIndex) -> SetClosureOracle:
     return SetClosureOracle(index.graph.arcs(), nodes=index.graph.nodes())

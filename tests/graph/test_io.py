@@ -5,6 +5,7 @@ import pytest
 from repro.errors import GraphError
 from repro.graph.digraph import DiGraph
 from repro.graph.io import (
+    EdgeList,
     dumps_edge_list,
     graph_from_dict,
     graph_to_dict,
@@ -43,6 +44,42 @@ class TestEdgeListParsing:
 
     def test_empty_document(self):
         assert loads_edge_list("").num_nodes == 0
+
+    @pytest.mark.parametrize("text, error", [
+        ("a b\nc c\nx y z\n", "self-loop \\('c', 'c'\\)"),
+        ("a b\nx y z\nc c\n", "line 2"),
+        ("# only\nc c # loop\n", "self-loop")])
+    def test_first_bad_line_raises(self, text, error):
+        """Bad lines raise in document order, whatever their kind."""
+        with pytest.raises(GraphError, match=error):
+            loads_edge_list(text)
+        with pytest.raises(GraphError, match=error):
+            EdgeList.parse(text)
+
+
+class TestEdgeListArrays:
+    TEXT = "x\na b\nb c\na b\n\nc d # tail\r\nz\nb c\nx\n"
+
+    def test_labels_in_first_appearance_order(self):
+        edges = EdgeList.parse(self.TEXT)
+        assert edges.labels == ["x", "a", "b", "c", "d", "z"]
+        assert edges.num_nodes == 6
+        assert list(zip(edges.src.tolist(), edges.dst.tolist())) == [
+            (1, 2), (2, 3), (3, 4)]
+
+    def test_same_graph_as_the_digraph_parser(self):
+        graph = loads_edge_list(self.TEXT)
+        assert EdgeList.parse(self.TEXT).to_graph() == graph
+        assert list(EdgeList.parse(self.TEXT).to_graph()) == list(graph)
+        again = EdgeList.from_graph(graph)
+        assert again.labels == list(graph)
+        assert list(again.to_graph().arcs()) == list(graph.arcs())
+
+    def test_empty(self):
+        for text in ("", "# nothing\n\n", "solo\n"):
+            edges = EdgeList.parse(text)
+            assert len(edges.src) == len(edges.dst) == 0
+            assert edges.to_graph() == loads_edge_list(text)
 
 
 class TestEdgeListRoundTrip:
