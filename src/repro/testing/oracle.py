@@ -271,10 +271,10 @@ def _build_rtcf(graph: DiGraph):
 def _build_frozen_direct(graph: DiGraph):
     """A frozen engine built by the direct route, after a save/mmap-load.
 
-    ``open_index(engine="frozen")`` skips the mutable index and
-    propagates in rank space; the RTCF round trip puts the route's
-    buffers through the same writer and mapped view as the ``rtcf``
-    engine.
+    ``open_index(engine="frozen")`` skips the mutable index and runs
+    on integer node ids, propagating in rank space; the RTCF round trip
+    puts the route's buffers through the same writer and mapped view as
+    the ``rtcf`` engine.
     """
     from repro.factory import open_index
     return _mapped(open_index(graph, engine="frozen"))
