@@ -129,6 +129,12 @@ def _rank_dtype(np, num_nodes: int):
     return np.int32 if _rank_keys_fit_int32(num_nodes) else np.int64
 
 
+def _rev_keys_fit_int64(num_nodes: int, num_runs: int) -> bool:
+    """Whether the reverse index's sort keys ``lo * num_runs + position``
+    (all below ``num_nodes * num_runs``) fit int64."""
+    return num_nodes * num_runs <= 2**63
+
+
 def _rank_runs_python(used: Sequence, rows: Sequence) -> Tuple[
         List[int], List[int], List[int]]:
     """CSR ``(offsets, lows, highs)`` of every row's coalesced rank runs.
@@ -186,24 +192,33 @@ def _rank_runs_numpy(np, used: Sequence[int], rows: Sequence):
     return _coalesce_runs(np, first, last, owner, n)
 
 
+def _run_heads(np, first, last, owner, stride: int):
+    """Positions where a coalesced run starts among rank ranges grouped
+    by ascending ``owner`` row and sorted by ``first`` within a row.
+
+    A run starts where a range's first rank lies beyond its row's
+    running maximum last rank plus one: overlapping and touching ranges
+    (``[a, b]`` and ``[b + 1, c]``) join one run.  ``stride`` must exceed
+    every ``last`` by at least two; then the running maximum of
+    ``owner * stride + last`` is, within a row, that row's running
+    maximum last rank, and a new row always starts a run.
+    """
+    starts = np.ones(len(first), dtype=bool)
+    if len(first) > 1:
+        base = owner * stride
+        top = np.maximum.accumulate(base + last)
+        np.greater(base[1:] + first[1:], top[:-1] + 1, out=starts[1:])
+    return np.flatnonzero(starts)
+
+
 def _coalesce_runs(np, first, last, owner, n: int):
     """CSR ``(offsets, lows, highs)`` of ``n`` rows' coalesced rank runs.
 
     ``first``/``last`` are non-empty rank ranges grouped by ascending
-    ``owner`` row and sorted by ``first`` within a row.  A run starts
-    where the row changes or where a range's first rank lies beyond the
-    row's running maximum last rank plus one.
+    ``owner`` row and sorted by ``first`` within a row; runs start where
+    :func:`_run_heads` says.
     """
-    starts = np.ones(len(first), dtype=bool)
-    if len(first) > 1:
-        # The running maximum of owner * stride + last is, within a row,
-        # that row's running maximum last rank (rows ascend).
-        stride = n + 1
-        top = np.maximum.accumulate(owner * stride + last)
-        row_top = top[:-1] - owner[1:] * stride
-        np.logical_or(owner[1:] != owner[:-1], first[1:] > row_top + 1,
-                      out=starts[1:])
-    heads = np.flatnonzero(starts)
+    heads = _run_heads(np, first, last, owner, n + 1)
     dtype = _rank_dtype(np, n)
     lows = first[heads].astype(dtype)
     highs = (np.maximum.reduceat(last, heads) if len(heads)
@@ -359,12 +374,25 @@ class FrozenTCIndex(EngineBase):
         self._hi = np.asarray(highs, dtype=dtype)
         row_of = np.repeat(np.arange(n, dtype=np.int64), np.diff(self._off))
         self._lo_keyed = (row_of * n + self._lo).astype(dtype)
-        order = np.argsort(self._lo, kind="stable")
-        self._rev_lo = self._lo[order]
+        # The reverse index: every run in (lo, position) order, which is
+        # a stable sort by lo.  Sorting the keys lo * m + position and
+        # reading both fields back with divmod beats an argsort plus a
+        # lo gather; the keys stay below n * m, so only an index too
+        # large to hold in memory would take the argsort.
+        m = len(self._lo)
+        if _rev_keys_fit_int64(n, m):
+            stride = max(m, 1)
+            rev_lo, order = np.divmod(
+                np.sort(self._lo.astype(np.int64) * stride
+                        + np.arange(m, dtype=np.int64)), stride)
+            self._rev_lo = rev_lo.astype(dtype)
+        else:
+            order = np.argsort(self._lo, kind="stable")
+            self._rev_lo = self._lo[order]
         self._rev_hi = self._hi[order]
         self._rev_owner = row_of[order].astype(dtype)
         self._rev_maxhi = (np.maximum.accumulate(self._rev_hi)
-                           if len(order) else self._rev_hi)
+                           if m else self._rev_hi)
         self._lut = self._build_lut()
         self._make_views()
 

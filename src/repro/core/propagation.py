@@ -32,7 +32,18 @@ direct frozen build (:func:`propagate_ranks`, fed by
 *ranks*; a mutable build and every Section 4.2 recompute
 (:func:`propagate_tree_intervals`) build the CSR from their graph
 (:func:`~repro.graph.traversal.graph_csr`) and feed it end-point
-positions in a sorted value table, so numbers of any size, Fractions included, come back exact.
+positions in a sorted value table, so numbers of any size, Fractions
+included, come back exact.
+
+The two routes differ in what a level keeps.  In number space the kernel
+keeps exactly the subsumption-maximal intervals, as ``add_all`` does.  In
+rank space every rank is a live node, so the Section 3.2 merge of
+adjacent and overlapping intervals (Fig. 3.8) is exactly the frozen
+snapshot's coalescing: each level's sort and sweep, and the scalar merge,
+emit coalesced runs (a run starts where ``lo`` exceeds its owner's
+running maximum ``hi`` plus one, the rule
+:func:`~repro.core.frozen._run_heads` states once for the kernel and the
+freeze), so the rows come out of the level loop ready for the snapshot.
 """
 
 from __future__ import annotations
@@ -40,7 +51,7 @@ from __future__ import annotations
 from operator import neg
 from typing import Dict, List, Mapping, Sequence, Tuple
 
-from repro.core.frozen import _coalesce_runs, _numpy
+from repro.core.frozen import _numpy, _rank_dtype, _run_heads
 from repro.core.intervals import Interval, IntervalSet
 from repro.core.labeling import Labeling
 from repro.core.tree_cover import TreeCover
@@ -49,9 +60,10 @@ from repro.graph.digraph import DiGraph, Node
 from repro.graph.traversal import graph_csr
 
 
-def _sweep(np, los, his, owners):
+def _sweep(np, los, his, owners, coalesce: bool = False):
     """Resolve one level's (lo, hi, owner) arrays to their
-    subsumption-maximal runs, ordered by (owner, lo)."""
+    subsumption-maximal runs, ordered by (owner, lo); with ``coalesce``
+    (rank space), to their coalesced runs instead."""
     # (owner asc, lo asc, hi desc) as ONE int64 key when it fits: sorting
     # the keys themselves and reading the fields back out of them beats
     # an argsort plus three gathers by ~2-3x, and lexsort's three stable
@@ -73,6 +85,9 @@ def _sweep(np, los, his, owners):
         slo = los[order]
         shi = his[order]
         sown = owners[order]
+    if coalesce:
+        heads = _run_heads(np, slo, shi, sown, hi_span + 1)
+        return slo[heads], np.maximum.reduceat(shi, heads), sown[heads]
     # One key per interval such that comparing keys within an owner
     # compares hi, and any later owner's key beats any earlier owner's:
     # keep iff the key exceeds the running maximum (the add_all sweep,
@@ -85,11 +100,24 @@ def _sweep(np, los, his, owners):
     return slo[keep], shi[keep], sown[keep]
 
 
-def _merge_scalar(pairs: List[Tuple[int, int]]) -> List[Tuple[int, int]]:
+def _merge_scalar(pairs: List[Tuple[int, int]],
+                  coalesce: bool = False) -> List[Tuple[int, int]]:
     """The subsumption-maximal ``(lo, hi)`` runs among ``(lo, -hi)``
-    pairs, sorted by lo: :meth:`IntervalSet.add_all`'s sort and sweep."""
+    pairs, sorted by lo: :meth:`IntervalSet.add_all`'s sort and sweep.
+    With ``coalesce`` (rank space), the coalesced runs instead: the
+    scalar form of :func:`~repro.core.frozen._run_heads`."""
     pairs.sort()  # lo ascending, hi descending
     kept = []
+    if coalesce:
+        run_lo, top = pairs[0][0], -pairs[0][1]
+        for lo, neg_hi in pairs:
+            if lo > top + 1:
+                kept.append((run_lo, top))
+                run_lo, top = lo, -neg_hi
+            elif -neg_hi > top:
+                top = -neg_hi
+        kept.append((run_lo, top))
+        return kept
     top = -1  # end-points are non-negative
     for lo, neg_hi in pairs:
         if -neg_hi > top:
@@ -124,7 +152,8 @@ def _concat_ranges(np, starts, lengths):
 SCALAR_RUNS = 64
 
 
-def _propagate_pool(np, indptr, indices, tree_lo_all, tree_hi_all):
+def _propagate_pool(np, indptr, indices, tree_lo_all, tree_hi_all,
+                    coalesce: bool = False):
     """The level loop: every node's final runs in one flat pool.
 
     Ids are topological positions and ``(indptr, indices)`` is the
@@ -133,8 +162,11 @@ def _propagate_pool(np, indptr, indices, tree_lo_all, tree_hi_all):
     ``2 * n`` — ranks, or end-point positions in a value table.
     Subsumption compares lo with lo and hi with hi only, so any strictly
     monotone relabelling of either end keeps the same survivors in the
-    same order.  Returns ``(pool_lo, pool_hi, start, end)``: id ``i``'s
-    runs are ``pool[start[i]:end[i]]``, sorted by ``lo``.
+    same order.  With ``coalesce`` (rank codes only, where every code is
+    a live node) each level emits coalesced runs instead: overlapping and
+    touching runs of a node join one run.  Returns ``(pool_lo, pool_hi,
+    start, end)``: id ``i``'s runs are ``pool[start[i]:end[i]]``, sorted
+    by ``lo``.
 
     The data picks each level's method: a level that gathers at most
     :data:`SCALAR_RUNS` runs takes the scalar merge, counted from the
@@ -204,7 +236,7 @@ def _propagate_pool(np, indptr, indices, tree_lo_all, tree_hi_all):
             end = end_view[successor]
             pairs += zip(lo_view[begin:end].tolist(),
                          map(neg, hi_view[begin:end].tolist()))
-        kept = _merge_scalar(pairs)
+        kept = _merge_scalar(pairs, coalesce)
         position = reserve(len(kept))
         start_view[node_id] = position
         for lo, hi in kept:
@@ -243,7 +275,8 @@ def _propagate_pool(np, indptr, indices, tree_lo_all, tree_hi_all):
             owners = np.concatenate([
                 np.arange(count, dtype=np.int64),
                 np.repeat(arc_owner, lengths)])
-            kept_lo, kept_hi, kept_owner = _sweep(np, los, his, owners)
+            kept_lo, kept_hi, kept_owner = _sweep(np, los, his, owners,
+                                                  coalesce)
             bounds = np.searchsorted(kept_owner,
                                      np.arange(count + 1))
 
@@ -303,21 +336,28 @@ def propagate_ranks(np, indptr, indices, rank: Sequence[int],
     ``[entry[i], rank[i]]`` (:func:`~repro.core.labeling.postorder_ranks`).
     Returns the CSR ``(offsets, lows, highs)`` of every row's coalesced
     rank runs, rows in rank order — what :meth:`FrozenTCIndex.from_index`
-    compiles from the same cover at any gap.
+    compiles from the same cover at any gap.  Every rank is a live node,
+    so the kernel coalesces each row as it resolves it (the union of
+    coalesced runs coalesces to the same runs as the union of the raw
+    ones), and no pass over the whole pool follows.
     """
     n = len(rank)
     rank_of_id = np.array(rank, dtype=np.int64)
     pool_lo, pool_hi, start_arr, end_arr = _propagate_pool(
-        np, indptr, indices, np.array(entry, dtype=np.int64), rank_of_id)
+        np, indptr, indices, np.array(entry, dtype=np.int64), rank_of_id,
+        coalesce=True)
 
-    # Gather every row in rank order; each is already sorted by lo.
+    # Gather every row in rank order; each is already coalesced.
     id_of_rank = np.empty(n, dtype=np.int64)
     id_of_rank[rank_of_id] = np.arange(n, dtype=np.int64)
     starts = start_arr[id_of_rank]
     lengths = end_arr[id_of_rank] - starts
     gather = _concat_ranges(np, starts, lengths)
-    owner = np.repeat(np.arange(n, dtype=np.int64), lengths)
-    return _coalesce_runs(np, pool_lo[gather], pool_hi[gather], owner, n)
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+    dtype = _rank_dtype(np, n)
+    return (offsets, pool_lo[gather].astype(dtype, copy=False),
+            pool_hi[gather].astype(dtype, copy=False))
 
 
 def check_propagation(propagation: str) -> None:

@@ -10,6 +10,9 @@ the patched attribute:
 * ``keep-subsumed`` — interval insertion and the propagation kernel
   (builds and recomputes) stop discarding subsumed intervals, breaking
   the Section 3.2 elimination rule (caught by the subsumption audit);
+  in rank space the kernel also stops coalescing, so a direct frozen
+  build keeps nested runs and answers wrongly (caught by the
+  differential check);
 * ``cutoff-propagation`` — non-tree arc insertion updates the arc's
   source but never walks the predecessor lists, losing reachability
   upstream (caught by the differential check);
@@ -64,12 +67,12 @@ def _keep_subsumed() -> Iterator[None]:
         self._his.insert(position, hi)
         return True
 
-    def buggy_merge_scalar(pairs):
-        # Bug: every run survives, sorted by lo.
+    def buggy_merge_scalar(pairs, coalesce=False):
+        # Bug: every run survives, sorted by lo, in either mode.
         return sorted((lo, -neg_hi) for lo, neg_hi in pairs)
 
-    def buggy_sweep(np, los, his, owners):
-        # Bug: every run survives, ordered by (owner, lo).
+    def buggy_sweep(np, los, his, owners, coalesce=False):
+        # Bug: every run survives, ordered by (owner, lo), in either mode.
         order = np.lexsort((his, los, owners))
         return los[order], his[order], owners[order]
 

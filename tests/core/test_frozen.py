@@ -655,6 +655,80 @@ class TestReverseStabAllocation:
             mapped.close()
 
 
+class TestReverseIndexSort:
+    """``_materialize`` builds the reverse index with one sort of the
+    keys ``lo * m + position``; past int64 it takes a stable argsort by
+    ``lo``.  That needs ``n * m > 2**63``, far past any index that fits
+    in memory, so the tests force it by patching the guard."""
+
+    REVERSE = ("_rev_lo", "_rev_hi", "_rev_owner", "_rev_maxhi")
+
+    @staticmethod
+    def shared_subtree():
+        """Thirty roots over one shared subtree: many rows hold a run
+        that starts at the same rank."""
+        return DiGraph(arcs=[("hub", ("leaf", k)) for k in range(5)]
+                       + [(("root", i), "hub") for i in range(30)])
+
+    @staticmethod
+    def both_ways(monkeypatch, build):
+        """``build()`` by the key sort, then with the argsort forced."""
+        key_sorted = build()
+        with monkeypatch.context() as patch:
+            patch.setattr(frozen_module, "_rev_keys_fit_int64",
+                          lambda num_nodes, num_runs: False)
+            argsorted = build()
+        return key_sorted, argsorted
+
+    def assert_same_reverse_index(self, key_sorted, argsorted, name):
+        import numpy
+        for attribute in self.REVERSE:
+            mine = getattr(key_sorted, attribute)
+            theirs = getattr(argsorted, attribute)
+            assert mine.dtype == theirs.dtype, (name, attribute)
+            assert numpy.array_equal(mine, theirs), (name, attribute)
+        assert rtcf_bytes(key_sorted) == rtcf_bytes(argsorted), name
+
+    def test_argsort_fallback_gives_identical_arrays(self, monkeypatch):
+        graphs = [*direct_graphs(), ("shared-subtree", self.shared_subtree())]
+        for name, graph in graphs:
+            key_sorted, argsorted = self.both_ways(
+                monkeypatch, lambda: open_index(graph, engine="frozen"))
+            self.assert_same_reverse_index(key_sorted, argsorted, name)
+
+    def test_ties_across_rows_keep_row_order(self, monkeypatch):
+        frozen, argsorted = self.both_ways(
+            monkeypatch, lambda: open_index(self.shared_subtree(),
+                                            engine="frozen"))
+        self.assert_same_reverse_index(frozen, argsorted, "shared-subtree")
+        lows = frozen._lo.tolist()
+        assert len(lows) - len(set(lows)) >= 30
+        offsets = frozen._off.tolist()
+        row_of = [row for row in range(len(offsets) - 1)
+                  for _ in range(offsets[row + 1] - offsets[row])]
+        order = sorted(range(len(lows)), key=lows.__getitem__)  # stable
+        assert frozen._rev_lo.tolist() == [lows[i] for i in order]
+        assert frozen._rev_owner.tolist() == [row_of[i] for i in order]
+
+    def test_empty_index(self, monkeypatch):
+        import warnings
+
+        def build():
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # no division by zero
+                return FrozenTCIndex.from_buffers(nodes=[], offsets=[0],
+                                                  lows=[], highs=[])
+        key_sorted, argsorted = self.both_ways(monkeypatch, build)
+        self.assert_same_reverse_index(key_sorted, argsorted, "empty")
+        assert all(len(getattr(key_sorted, attribute)) == 0
+                   for attribute in self.REVERSE)
+
+    def test_guard_sits_at_int64(self):
+        fits = frozen_module._rev_keys_fit_int64
+        assert fits(0, 0) and fits(2**32, 2**31)
+        assert not fits(2**32, 2**31 + 1)
+
+
 # ----------------------------------------------------------------------
 # routing through repro.core.queries
 # ----------------------------------------------------------------------

@@ -18,14 +18,19 @@ import pytest
 from repro.core.index import DEFAULT_GAP, IntervalTCIndex, build_cover
 from repro.core.intervals import IntervalSet
 from repro.core.labeling import Labeling, merge_all, propagate_intervals
-from repro.core.frozen import _numpy
-from repro.core.propagation import _levelize, _sweep, run_propagation
+from repro.core.frozen import _coalesce_runs, _numpy
+from repro.core.labeling import postorder_ranks
+from repro.core.propagation import (_levelize, _merge_scalar,
+                                    _propagate_pool, _sweep, run_propagation)
+from repro.core.tree_cover import tree_parents
 from repro.core.rtcf import rtcf_bytes
 from repro.errors import ReproError
 from repro.factory import open_index
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import path_graph, random_dag, random_dag_local
-from repro.graph.traversal import graph_csr, topological_order
+from repro.graph.io import EdgeList
+from repro.graph.traversal import (graph_csr, out_csr, topological_arcs,
+                                   topological_order)
 from repro.testing.oracle import (SetClosureOracle, build_reference_index,
                                   compare_engine)
 
@@ -229,6 +234,188 @@ class TestSweepKeyOverflow:
             kept = [(lo, hi) for lo, hi, who in zip(*(a.tolist() for a in small))
                     if who == owner]
             assert kept == maximal
+
+
+def rank_inputs(graph, policy):
+    """The direct build's kernel inputs: the out-CSR on topological ids
+    and every id's tree interval ``[entry, rank]`` in rank space."""
+    np = _numpy()
+    edges = EdgeList.from_graph(graph)
+    _, src, dst = topological_arcs(np, edges, graph)
+    rank, entry = postorder_ranks(
+        tree_parents(np, edges.num_nodes, src, dst, policy))
+    indptr, indices = out_csr(np, edges.num_nodes, src, dst)
+    return (indptr, indices, np.array(entry, dtype=np.int64),
+            np.array(rank, dtype=np.int64))
+
+
+def kernel_rows(inputs, coalesce):
+    """Every id's ``(lo, hi)`` runs out of the level loop."""
+    pool_lo, pool_hi, start, end = _propagate_pool(_numpy(), *inputs,
+                                                   coalesce=coalesce)
+    return [list(zip(pool_lo[begin:stop].tolist(),
+                     pool_hi[begin:stop].tolist()))
+            for begin, stop in zip(start.tolist(), end.tolist())]
+
+
+def coalesced(rows):
+    """:func:`_coalesce_runs` over ``rows``, one row per id."""
+    np = _numpy()
+    n = len(rows)
+    runs = [run for row in rows for run in row]
+    offsets, lows, highs = _coalesce_runs(
+        np, np.array([lo for lo, _ in runs], dtype=np.int64),
+        np.array([hi for _, hi in runs], dtype=np.int64),
+        np.repeat(np.arange(n, dtype=np.int64), [len(row) for row in rows]),
+        n)
+    offsets = offsets.tolist()
+    return [list(zip(lows[offsets[i]:offsets[i + 1]].tolist(),
+                     highs[offsets[i]:offsets[i + 1]].tolist()))
+            for i in range(n)]
+
+
+#: Under ``last_parent``, ``r``'s row gathers its tree interval and one
+#: run from each of ``p`` and ``q``, and the three touch end to end.
+TOUCH_ARCS = [("r", "p"), ("r", "q"), ("p", "p1"), ("q", "q1"),
+              ("s", "p1"), ("s", "q1"), ("t", "s")]
+
+
+def ladder(length):
+    """Two chains joined by rungs: two nodes per level, so every level
+    gathers a handful of runs."""
+    return DiGraph(arcs=[(("a", i), ("a", i + 1)) for i in range(length)]
+                   + [(("b", i), ("b", i + 1)) for i in range(length)]
+                   + [(("a", i), ("b", i)) for i in range(length)])
+
+
+def layered(width, layers, seed):
+    """``layers`` levels of ``width`` nodes, each node with arcs to two
+    nodes of the next layer: every level gathers more than
+    :data:`SCALAR_RUNS` runs."""
+    rng = random.Random(seed)
+    arcs = [((layer, node), (layer + 1, target))
+            for layer in range(layers - 1) for node in range(width)
+            for target in rng.sample(range(width), 2)]
+    return DiGraph(arcs=arcs)
+
+
+def kernel_graphs():
+    yield "touching", DiGraph(arcs=TOUCH_ARCS)
+    yield "ladder", ladder(150)
+    yield "layered", layered(80, 3, 4)
+    yield "mixed-levels", mixed_levels()
+    yield "empty", DiGraph()
+    for seed in (1, 7):
+        yield f"dag-{seed}", random_dag(120, 2.5, random.Random(seed))
+    yield "local", random_dag_local(90, 3.0, random.Random(11), window=12)
+    yield "dense", random_dag(45, 6.0, random.Random(12))
+
+
+class TestRankModeKernel:
+    """In rank space the kernel coalesces as it goes: each node's runs
+    must be :func:`_coalesce_runs` over its subsumption-maximal runs,
+    whichever of the scalar merge and the sweep resolved it."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        import repro.core.propagation as propagation_module
+        counts = {"sweep": 0, "merge_scalar": 0}
+
+        def counted(name, function):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return function(*args, **kwargs)
+            return wrapper
+        monkeypatch.setattr(propagation_module, "_sweep",
+                            counted("sweep", _sweep))
+        monkeypatch.setattr(propagation_module, "_merge_scalar",
+                            counted("merge_scalar", _merge_scalar))
+        return counts
+
+    def test_touching_runs_from_different_successors(self):
+        graph = DiGraph(arcs=TOUCH_ARCS)
+        edges = EdgeList.from_graph(graph)
+        order = topological_arcs(_numpy(), edges, graph)[0]
+        root = [edges.labels[node] for node in order].index("r")
+        inputs = rank_inputs(graph, "last_parent")
+        kept = kernel_rows(inputs, coalesce=False)[root]
+        assert len(kept) == 3
+        assert all(following[0] == previous[1] + 1
+                   for previous, following in zip(kept, kept[1:]))
+        assert kernel_rows(inputs, coalesce=True)[root] == [
+            (kept[0][0], kept[-1][1])]
+
+    @pytest.mark.parametrize("scalar_runs", [
+        pytest.param(None, id="default"),
+        pytest.param(0, id="sweep-only"),
+        pytest.param(10**9, id="scalar-only")])
+    @pytest.mark.parametrize("policy", ["alg1", "last_parent"])
+    def test_equals_coalescing_the_subsumption_kernel(
+            self, calls, monkeypatch, scalar_runs, policy):
+        import repro.core.propagation as propagation_module
+        if scalar_runs is not None:
+            monkeypatch.setattr(propagation_module, "SCALAR_RUNS",
+                                scalar_runs)
+        for name, graph in kernel_graphs():
+            inputs = rank_inputs(graph, policy)
+            expected = coalesced(kernel_rows(inputs, coalesce=False))
+            calls.update(sweep=0, merge_scalar=0)
+            assert kernel_rows(inputs, coalesce=True) == expected, name
+            if scalar_runs == 0:
+                assert calls["merge_scalar"] == 0, name
+            elif scalar_runs is not None:
+                assert calls == {"sweep": 0, "merge_scalar": len(graph)}, \
+                    name
+
+    def test_deep_chain_takes_only_the_scalar_merge(self, calls):
+        graph = ladder(150)
+        inputs = rank_inputs(graph, "alg1")
+        expected = coalesced(kernel_rows(inputs, coalesce=False))
+        calls.update(sweep=0, merge_scalar=0)
+        rows = kernel_rows(inputs, coalesce=True)
+        assert calls == {"sweep": 0, "merge_scalar": len(graph)}
+        assert rows == expected
+        assert max(map(len, rows)) > 1
+
+    def test_wide_levels_take_only_the_sweep(self, calls):
+        graph = layered(80, 3, 4)
+        inputs = rank_inputs(graph, "alg1")
+        expected = coalesced(kernel_rows(inputs, coalesce=False))
+        calls.update(sweep=0, merge_scalar=0)
+        rows = kernel_rows(inputs, coalesce=True)
+        # Level 0 holds only sinks, which keep their tree intervals.
+        assert calls == {"sweep": 2, "merge_scalar": 0}
+        assert rows == expected
+        assert max(map(len, rows)) > 1
+
+    #: (owner, lo, hi) runs and what coalescing keeps per owner: touching
+    #: runs join, a one-rank gap does not, and owners never join.
+    RUNS = [(0, 0, 2), (0, 3, 5), (0, 7, 8), (0, 8, 8), (0, 4, 4),
+            (1, 9, 9), (1, 0, 3), (1, 1, 2), (1, 5, 6),
+            (2, 4, 4), (3, 5, 5)]
+    COALESCED = {0: [(0, 5), (7, 8)], 1: [(0, 3), (5, 6), (9, 9)],
+                 2: [(4, 4)], 3: [(5, 5)]}
+
+    def test_scalar_merge_coalesces_touching_runs(self):
+        for owner, expected in self.COALESCED.items():
+            pairs = [(lo, -hi) for who, lo, hi in self.RUNS if who == owner]
+            assert _merge_scalar(pairs, coalesce=True) == expected
+
+    def test_sweep_coalesces_touching_runs(self):
+        np = _numpy()
+        owners, los, his = (np.array(column, dtype=np.int64)
+                            for column in zip(*self.RUNS))
+        expected = [(who, lo, hi) for who, runs in self.COALESCED.items()
+                    for lo, hi in runs]
+        kept_lo, kept_hi, kept_owner = _sweep(np, los, his, owners,
+                                              coalesce=True)
+        assert list(zip(kept_owner.tolist(), kept_lo.tolist(),
+                        kept_hi.tolist())) == expected
+        shift = 2**30  # past the one-key sort: the lexsort branch
+        kept_lo, kept_hi, kept_owner = _sweep(np, los + shift, his + shift,
+                                              owners, coalesce=True)
+        assert list(zip(kept_owner.tolist(), (kept_lo - shift).tolist(),
+                        (kept_hi - shift).tolist())) == expected
 
 
 class TestRenumberAfterVectorizedBuild:

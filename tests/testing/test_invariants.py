@@ -4,10 +4,13 @@ import pytest
 
 from repro.core.index import IntervalTCIndex
 from repro.core.intervals import Interval
+from repro.factory import open_index
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import random_dag
 from repro.testing.faults import injected_fault
 from repro.testing.invariants import InvariantViolation, audit_index
+from repro.testing.oracle import (DifferentialMismatch, SetClosureOracle,
+                                  compare_engine)
 
 
 def _build(arcs, **kwargs):
@@ -101,3 +104,19 @@ def test_keep_subsumed_fault_breaks_fresh_builds():
         index = _build(PAPER_ARCS)
         with pytest.raises(InvariantViolation):
             audit_index(index)
+
+
+@pytest.mark.parametrize("graph", [
+    pytest.param(DiGraph(PAPER_ARCS), id="paper"),
+    pytest.param(random_dag(60, 2.5, 3), id="random")])
+def test_keep_subsumed_fault_breaks_direct_frozen_builds(graph):
+    """The direct frozen build propagates in rank space, where the
+    kernel coalesces instead of dropping subsumed runs; the fault keeps
+    every run there too, and the nested runs answer wrongly."""
+    oracle = SetClosureOracle(arcs=graph.arcs(), nodes=graph.nodes())
+    compare_engine("frozen-direct", open_index(graph, engine="frozen"),
+                   oracle, predecessors=True)
+    with injected_fault("keep-subsumed"):
+        broken = open_index(graph, engine="frozen")
+    with pytest.raises(DifferentialMismatch):
+        compare_engine("frozen-direct", broken, oracle, predecessors=True)
